@@ -9,6 +9,13 @@
 //! subnormals, ±0, ±Inf, NaN payloads) over patterns with empty rows,
 //! padded rows, global tokens, and scattered columns, under 1-thread and
 //! 4-thread pools.
+//!
+//! Known gap: `simd_and_scalar_dispatch_agree_bitwise` compares raw bits,
+//! NaN payloads included. It passes in debug builds (the tier-1 and CI
+//! configuration) but fails under `cargo test --release` on a NaN
+//! payload: an optimised build may commute `fmul`/`fadd` operands in the
+//! scalar path, and x86 keeps the first operand's payload when both are
+//! NaN. The comparison stays strict rather than being loosened.
 
 use mg_kernels::fused;
 use mg_kernels::fused_attention_compute;

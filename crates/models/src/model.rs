@@ -9,6 +9,8 @@ use mg_patterns::{presets, CompoundPattern};
 use mg_sparse::SparseError;
 use mg_tensor::{gelu, gemm, layer_norm, Half, Matrix};
 use multigrain::{Attention, AttentionProblem, Method, PipelineReport};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// End-to-end inference timing for one batch through the whole encoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,15 +51,58 @@ impl InferenceReport {
 /// assert!(report.total() > 0.0);
 /// # Ok::<(), mg_sparse::SparseError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SparseTransformer {
     config: ModelConfig,
+    /// Per-layer weights of [`SparseTransformer::forward_numeric`], built
+    /// on its first call. Timing-only users (serving, planning,
+    /// `inference_report`) never pay for them.
+    weights: OnceLock<Vec<LayerWeights>>,
+}
+
+/// The six deterministic random weight matrices of one encoder layer.
+#[derive(Clone)]
+struct LayerWeights {
+    wq: Matrix<Half>,
+    wk: Matrix<Half>,
+    wv: Matrix<Half>,
+    wo: Matrix<Half>,
+    w1: Matrix<Half>,
+    w2: Matrix<Half>,
+}
+
+impl LayerWeights {
+    /// The weights of `layer`, seeded from the layer index alone.
+    fn new(cfg: &ModelConfig, layer: usize) -> LayerWeights {
+        let (dm, seed) = (cfg.hidden, 1000 + layer as u64 * 17);
+        LayerWeights {
+            wq: Matrix::random(dm, dm, seed),
+            wk: Matrix::random(dm, dm, seed + 1),
+            wv: Matrix::random(dm, dm, seed + 2),
+            wo: Matrix::random(dm, dm, seed + 3),
+            w1: Matrix::random(dm, cfg.ffn_hidden, seed + 4),
+            w2: Matrix::random(cfg.ffn_hidden, dm, seed + 5),
+        }
+    }
+}
+
+/// Shows the configuration only: the cached weights are megabytes of
+/// seeded noise that the configuration fully determines.
+impl fmt::Debug for SparseTransformer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SparseTransformer")
+            .field("config", &self.config)
+            .finish()
+    }
 }
 
 impl SparseTransformer {
     /// Creates a model from its configuration.
     pub fn new(config: ModelConfig) -> SparseTransformer {
-        SparseTransformer { config }
+        SparseTransformer {
+            config,
+            weights: OnceLock::new(),
+        }
     }
 
     /// The model configuration.
@@ -302,39 +347,39 @@ impl SparseTransformer {
         let beta = vec![0.0f32; dm];
         let ffn_gamma = vec![1.0f32; dm];
 
-        for layer in 0..cfg.layers {
-            let seed = 1000 + layer as u64 * 17;
-            let wq = Matrix::<Half>::random(dm, dm, seed);
-            let wk = Matrix::<Half>::random(dm, dm, seed + 1);
-            let wv = Matrix::<Half>::random(dm, dm, seed + 2);
-            let wo = Matrix::<Half>::random(dm, dm, seed + 3);
-            let w1 = Matrix::<Half>::random(dm, cfg.ffn_hidden, seed + 4);
-            let w2 = Matrix::<Half>::random(cfg.ffn_hidden, dm, seed + 5);
+        let weights = self
+            .weights
+            .get_or_init(|| (0..cfg.layers).map(|i| LayerWeights::new(cfg, i)).collect());
+        for w in weights {
+            let q: Matrix<Half> = gemm(&hidden, &w.wq);
+            let k: Matrix<Half> = gemm(&hidden, &w.wk);
+            let v: Matrix<Half> = gemm(&hidden, &w.wv);
 
-            let q: Matrix<Half> = gemm(&hidden, &wq);
-            let k: Matrix<Half> = gemm(&hidden, &wk);
-            let v: Matrix<Half> = gemm(&hidden, &wv);
-
-            // Per-head sparse attention, concatenated.
+            // Per-head sparse attention, concatenated: each head is a
+            // column range of every row, copied out and back row by row.
+            let hd = cfg.head_dim;
             let mut context = Matrix::<Half>::zeros(l, dm);
             for h in 0..cfg.heads {
-                let lo = h * cfg.head_dim;
-                let slice =
-                    |m: &Matrix<Half>| Matrix::from_fn(l, cfg.head_dim, |r, c| m.get(r, lo + c));
+                let cols = h * hd..(h + 1) * hd;
+                let slice = |m: &Matrix<Half>| {
+                    let mut out = Matrix::<Half>::zeros(l, hd);
+                    for r in 0..l {
+                        out.row_mut(r).copy_from_slice(&m.row(r)[cols.clone()]);
+                    }
+                    out
+                };
                 let ch = attention.execute_numeric(&slice(&q), &slice(&k), &slice(&v));
                 for r in 0..l {
-                    for c in 0..cfg.head_dim {
-                        context.set(r, lo + c, ch.get(r, c));
-                    }
+                    context.row_mut(r)[cols.clone()].copy_from_slice(ch.row(r));
                 }
             }
-            let attn_out: Matrix<Half> = gemm(&context, &wo);
+            let attn_out: Matrix<Half> = gemm(&context, &w.wo);
             let residual: Matrix<Half> = mg_tensor::add(&hidden, &attn_out);
             let normed: Matrix<Half> = layer_norm(&residual, &gamma, &beta);
 
-            let up: Matrix<Half> = gemm(&normed, &w1);
+            let up: Matrix<Half> = gemm(&normed, &w.w1);
             let act: Matrix<Half> = gelu(&up);
-            let down: Matrix<Half> = gemm(&act, &w2);
+            let down: Matrix<Half> = gemm(&act, &w.w2);
             let residual2: Matrix<Half> = mg_tensor::add(&normed, &down);
             hidden = layer_norm(&residual2, &ffn_gamma, &beta);
         }
@@ -419,6 +464,29 @@ mod tests {
             out[0].max_abs_diff(&out[2]) < 0.08,
             "MG vs Sputnik {}",
             out[0].max_abs_diff(&out[2])
+        );
+    }
+
+    #[test]
+    fn cached_weights_repeat_the_first_forward_and_stay_out_of_debug() {
+        let model = SparseTransformer::new(ModelConfig::tiny());
+        let first = model
+            .forward_numeric(Method::Multigrain, &sample(), 5)
+            .expect("runs");
+        let again = model
+            .forward_numeric(Method::Multigrain, &sample(), 5)
+            .expect("runs");
+        let fresh = SparseTransformer::new(ModelConfig::tiny())
+            .forward_numeric(Method::Multigrain, &sample(), 5)
+            .expect("runs");
+        assert_eq!(first, again, "cached weights change the output");
+        assert_eq!(
+            first, fresh,
+            "cached weights differ from freshly built ones"
+        );
+        assert_eq!(
+            format!("{model:?}"),
+            format!("SparseTransformer {{ config: {:?} }}", ModelConfig::tiny())
         );
     }
 

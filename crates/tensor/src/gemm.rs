@@ -6,19 +6,32 @@
 //! in `f32` regardless of the storage type, matching the tensor-core
 //! `HMMA.16816.F32` semantics the paper relies on.
 //!
-//! ## Packed-panel microkernels
+//! ## Slab-packed, row-blocked microkernels
 //!
-//! [`gemm`] and [`gemm_nt`] stage the B operand into a packed `f32`
-//! [`crate::pack::Panel`] **once** and decode each A row once, instead of
-//! re-converting every FP16 element inside the MAC loop. The inner loops
-//! are register-tiled over [`NR`]-wide output blocks with the k-loop kept
-//! whole and sequential, so every output element still accumulates its
-//! products in ascending-k order — exactly the order the retained
-//! [`naive`] reference uses. Decode is exact and the per-element
-//! accumulation order is unchanged, so the packed path is bit-identical
-//! to the reference by construction (property-tested in
-//! `tests/pack_props.rs` over subnormals, ±Inf, and NaN at multiple
-//! thread counts).
+//! [`gemm`] and [`gemm_nt`] stage the B operand **once** into a
+//! [`crate::pack::SlabPanel`] and decode each A row once, instead of
+//! re-converting every FP16 element inside the MAC loop. A slab holds
+//! [`simd::SPAN`] (32) columns of B as one contiguous k-major `k × 32`
+//! block. Output rows are walked in fixed [`ROW_BLOCK`]-row blocks, one
+//! parallel task per block: the task decodes its A block, then for each
+//! slab runs every row pair of the block over that slab. The slab (393 KB
+//! at k = 3072) and the A block (786 KB) stay in L2 while they are
+//! reused. A whole-width k-major panel (9.4 MB for the FFN shapes) does
+//! not fit, so it streamed again from L3 for every row pair, and its
+//! 32-column windows were strided by `n · 4` bytes.
+//!
+//! The inner loops are register-tiled over [`NR`]-wide output blocks with
+//! the k-loop kept whole and sequential, so every output element still
+//! accumulates its products in ascending-k order from a `+0.0` seed —
+//! exactly the order the retained [`naive`] reference uses. Blocking
+//! changes only the order in which *elements* are computed, never the
+//! arithmetic of one element, so the packed path is bit-identical to the
+//! reference by construction (property-tested in `tests/pack_props.rs`
+//! over subnormals, ±Inf, and NaN at multiple thread counts).
+//!
+//! There is no k-block. Splitting k would have to park each element's
+//! partial sum and resume it in order; that pays only once one slab
+//! outgrows L2, at k ≈ 32k for a 4 MiB L2, far beyond any shape here.
 
 use crate::{pack, par, scratch, simd, Matrix, Scalar};
 
@@ -26,71 +39,71 @@ use crate::{pack, par, scratch, simd, Matrix, Scalar};
 /// accumulates up to this many output columns in a local register block.
 pub const NR: usize = 8;
 
-/// The shared row microkernel: multiplies one decoded A row against a
-/// k-major packed panel (`bp[kk * n + j]` holds `B[kk][j]`), producing
-/// `n` outputs in `NR`-wide register blocks.
+/// Output rows per parallel task of the slab loop. Even, so row pairs
+/// never straddle two blocks; 64 decoded A rows at k = 3072 plus one slab
+/// fit in L2 together.
+const ROW_BLOCK: usize = 64;
+
+/// The row microkernel over one slab: multiplies one decoded A row
+/// against a k-major `k × w` slab (`bp[kk * w + j]`, `w = out_row.len()`).
+///
+/// A full-width slab goes through the explicit AVX2 span kernel (four
+/// independent 8-lane accumulator chains) when the [`crate::simd`]
+/// dispatch is active; otherwise, and for a ragged slab, the scalar
+/// register windows of [`mul_row_windows`] run. Both perform the
+/// identical mul-then-add sequence per lane, so the choice is invisible
+/// in the bits.
+#[inline]
+fn mul_row_slab<O: Scalar>(a_f: &[f32], bp: &[f32], out_row: &mut [O]) {
+    let mut span = [0.0f32; simd::SPAN];
+    if simd::row_panel_span(a_f, bp, out_row.len(), 0, &mut span) {
+        pack::encode_slice(&span, out_row);
+    } else {
+        mul_row_windows(a_f, bp, out_row);
+    }
+}
+
+/// Paired-row form of [`mul_row_slab`]: produces two output rows at once
+/// so the span microkernel can reuse each loaded B vector for both rows
+/// ([`simd::row_panel_span2`]), halving slab traffic. Per row the
+/// computation (and therefore every output bit) is identical to two
+/// [`mul_row_slab`] calls; when the vector path declines, that is
+/// literally what runs.
+#[inline]
+fn mul_row_slab2<O: Scalar>(
+    a0_f: &[f32],
+    a1_f: &[f32],
+    bp: &[f32],
+    out0: &mut [O],
+    out1: &mut [O],
+) {
+    let mut span0 = [0.0f32; simd::SPAN];
+    let mut span1 = [0.0f32; simd::SPAN];
+    if simd::row_panel_span2(a0_f, a1_f, bp, out0.len(), 0, &mut span0, &mut span1) {
+        pack::encode_slice(&span0, out0);
+        pack::encode_slice(&span1, out1);
+    } else {
+        mul_row_windows(a0_f, bp, out0);
+        mul_row_windows(a1_f, bp, out1);
+    }
+}
+
+/// The register windows of the row microkernel: `NR`-wide blocks (and
+/// the ragged final block) across a `k × n` k-major slab, `n =
+/// out_row.len()`.
 ///
 /// Full blocks go through fixed-size `[f32; NR]` windows so the compiler
 /// can keep the `NR` accumulator chains in vector registers — the lanes
 /// are *independent* sums, so vectorizing across them reorders nothing:
 /// each output element still accumulates its products in ascending-k
 /// order from a `+0.0` seed, exactly like [`naive::gemm`] /
-/// [`naive::gemm_nt`].
-///
-/// When the [`crate::simd`] dispatch is active, wide interior spans of
-/// the row go through the explicit AVX2 span kernel (four independent
-/// 8-lane accumulator chains) and leftover full blocks through the
-/// vector block kernel; both perform the identical mul-then-add sequence
-/// per lane, so the choice is invisible in the bits.
+/// [`naive::gemm_nt`]. When the [`crate::simd`] dispatch is active, full
+/// blocks go through the vector block kernel, which performs the same
+/// mul-then-add sequence per lane.
 #[inline]
-fn mul_row_panel<O: Scalar>(a_f: &[f32], bp: &[f32], n: usize, out_row: &mut [O]) {
+fn mul_row_windows<O: Scalar>(a_f: &[f32], bp: &[f32], out_row: &mut [O]) {
+    let n = out_row.len();
     let mut j0 = 0;
-    let mut span = [0.0f32; simd::SPAN];
-    while j0 + simd::SPAN <= n && simd::row_panel_span(a_f, bp, n, j0, &mut span) {
-        pack::encode_slice(&span, &mut out_row[j0..j0 + simd::SPAN]);
-        j0 += simd::SPAN;
-    }
-    mul_row_panel_tail(a_f, bp, n, out_row, j0);
-}
-
-/// Paired-row form of [`mul_row_panel`]: produces two output rows at
-/// once so the span microkernel can reuse each loaded B vector for both
-/// rows ([`simd::row_panel_span2`]), halving panel traffic — the dense
-/// GEMMs here are panel-bandwidth bound, not ALU bound. Per row the
-/// computation (and therefore every output bit) is identical to two
-/// [`mul_row_panel`] calls; when the vector path declines, that is
-/// literally what runs.
-#[inline]
-fn mul_row_panel2<O: Scalar>(
-    a0_f: &[f32],
-    a1_f: &[f32],
-    bp: &[f32],
-    n: usize,
-    out0: &mut [O],
-    out1: &mut [O],
-) {
-    let mut j0 = 0;
-    let mut span0 = [0.0f32; simd::SPAN];
-    let mut span1 = [0.0f32; simd::SPAN];
-    while j0 + simd::SPAN <= n
-        && simd::row_panel_span2(a0_f, a1_f, bp, n, j0, &mut span0, &mut span1)
-    {
-        pack::encode_slice(&span0, &mut out0[j0..j0 + simd::SPAN]);
-        pack::encode_slice(&span1, &mut out1[j0..j0 + simd::SPAN]);
-        j0 += simd::SPAN;
-    }
-    if j0 < n {
-        mul_row_panel_tail(a0_f, bp, n, out0, j0);
-        mul_row_panel_tail(a1_f, bp, n, out1, j0);
-    }
-}
-
-/// The tail of the row microkernel: the `NR`-wide register blocks (and
-/// the ragged final block) from column `j0` to `n`. This is the whole
-/// kernel when the span microkernel is not dispatched.
-#[inline]
-fn mul_row_panel_tail<O: Scalar>(a_f: &[f32], bp: &[f32], n: usize, out_row: &mut [O], j0: usize) {
-    let mut j0 = j0;
     while j0 < n {
         let jw = NR.min(n - j0);
         let mut regs = [0.0f32; NR];
@@ -122,11 +135,45 @@ fn mul_row_panel_tail<O: Scalar>(a_f: &[f32], bp: &[f32], n: usize, out_row: &mu
     }
 }
 
+/// The slab loop shared by [`gemm`] and [`gemm_nt`], whose only
+/// difference is how `b` was packed: computes the `m × n` product of `a`
+/// and the `k × n` slab-packed operand.
+///
+/// Row blocks are independent and each output element is produced
+/// whole by one microkernel call, so the result is bit-identical at any
+/// thread count.
+fn gemm_slabs<A: Scalar, O: Scalar>(a: &Matrix<A>, b: &pack::SlabPanel, n: usize) -> Matrix<O> {
+    let (m, k) = (a.rows(), a.cols());
+    let mut out = Matrix::<O>::zeros(m, n);
+    par::for_each_chunk_mut(out.as_mut_slice(), ROW_BLOCK * n, |blk, out_blk| {
+        let (r0, rows) = (blk * ROW_BLOCK, out_blk.len() / n);
+        let mut a_f = scratch::take_zeroed(rows * k);
+        for r in 0..rows {
+            pack::decode_slice(a.row(r0 + r), &mut a_f[r * k..(r + 1) * k]);
+        }
+        let a_row = |r: usize| &a_f[r * k..(r + 1) * k];
+        for s in 0..b.slabs() {
+            let (j0, w, bp) = b.slab(s);
+            let mut r = 0;
+            while r + 1 < rows {
+                let (head, tail) = out_blk.split_at_mut((r + 1) * n);
+                let out0 = &mut head[r * n + j0..r * n + j0 + w];
+                mul_row_slab2(a_row(r), a_row(r + 1), bp, out0, &mut tail[j0..j0 + w]);
+                r += 2;
+            }
+            if r < rows {
+                mul_row_slab(a_row(r), bp, &mut out_blk[r * n + j0..r * n + j0 + w]);
+            }
+        }
+    });
+    out
+}
+
 /// Computes `A × B` where `A` is `m×k` and `B` is `k×n`.
 ///
 /// Inputs may be `Half` or `f32`; products are accumulated in `f32` and the
-/// result is rounded to the output scalar type `O`. `B` is packed into an
-/// `f32` panel once up front; results are bit-identical to
+/// result is rounded to the output scalar type `O`. `B` is packed into
+/// `f32` slabs once up front; results are bit-identical to
 /// [`naive::gemm`].
 ///
 /// # Panics
@@ -153,52 +200,15 @@ pub fn gemm<A: Scalar, B: Scalar, O: Scalar>(a: &Matrix<A>, b: &Matrix<B>) -> Ma
         b.rows(),
         b.cols()
     );
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let b_panel = pack::Panel::from_matrix(b);
-    let mut out = Matrix::<O>::zeros(m, n);
-    // Rows are independent. Within a row, the output is produced in NR-wide
-    // register blocks; the k-loop stays whole and sequential per block, so
-    // each output element accumulates in ascending-k order — the same order
-    // as the naive reference, hence bit-identical at any thread count.
-    // Rows are walked in pairs so the vector span kernel can share each
-    // loaded B vector between two rows; pairing changes panel traffic
-    // only, never the per-element arithmetic.
-    par::for_each_chunk_mut(out.as_mut_slice(), 2 * n, |i, out_chunk| {
-        mul_row_pair(a, &b_panel, k, n, 2 * i, out_chunk);
-    });
-    out
-}
-
-/// Decodes the one or two A rows backing `out_chunk` (rows `r0` and,
-/// when the chunk is full, `r0 + 1`) and runs the row microkernels over
-/// the packed panel. Shared by [`gemm`] and [`gemm_nt`], whose only
-/// difference is how the panel was packed.
-fn mul_row_pair<A: Scalar, O: Scalar>(
-    a: &Matrix<A>,
-    b_panel: &pack::Panel,
-    k: usize,
-    n: usize,
-    r0: usize,
-    out_chunk: &mut [O],
-) {
-    let mut a0_f = scratch::take_zeroed(k);
-    pack::decode_slice(a.row(r0), &mut a0_f);
-    if out_chunk.len() == 2 * n {
-        let mut a1_f = scratch::take_zeroed(k);
-        pack::decode_slice(a.row(r0 + 1), &mut a1_f);
-        let (out0, out1) = out_chunk.split_at_mut(n);
-        mul_row_panel2(&a0_f, &a1_f, b_panel.as_slice(), n, out0, out1);
-    } else {
-        mul_row_panel(&a0_f, b_panel.as_slice(), n, out_chunk);
-    }
+    gemm_slabs(a, &pack::SlabPanel::from_matrix(b), b.cols())
 }
 
 /// Computes `A × Bᵀ` where `A` is `m×k` and `B` is `n×k`.
 ///
 /// This is the shape of the attention-score computation `Q × Kᵀ`, provided
-/// directly so callers do not materialise the transpose. `B` is packed into
-/// an `f32` panel once up front; results are bit-identical to
-/// [`naive::gemm_nt`].
+/// directly so callers do not materialise the transpose. `Bᵀ` is packed
+/// into `f32` slabs once up front — the same layout [`gemm`] uses, so one
+/// loop serves both; results are bit-identical to [`naive::gemm_nt`].
 ///
 /// # Panics
 ///
@@ -213,16 +223,7 @@ pub fn gemm_nt<A: Scalar, B: Scalar, O: Scalar>(a: &Matrix<A>, b: &Matrix<B>) ->
         b.rows(),
         b.cols()
     );
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    // Packing Bᵀ in k-major order turns A × Bᵀ into the exact memory shape
-    // of A × B: the microkernel reads contiguous NR-wide column blocks
-    // instead of walking NR separate B rows in lockstep.
-    let b_panel = pack::Panel::from_matrix_transposed(b);
-    let mut out = Matrix::<O>::zeros(m, n);
-    par::for_each_chunk_mut(out.as_mut_slice(), 2 * n, |i, out_chunk| {
-        mul_row_pair(a, &b_panel, k, n, 2 * i, out_chunk);
-    });
-    out
+    gemm_slabs(a, &pack::SlabPanel::from_matrix_transposed(b), b.rows())
 }
 
 /// The shared gathered-row microkernel: dots one decoded `f32` row

@@ -7,8 +7,9 @@
 //! kernels (SPLAT, Fused3S) win by staging operands into registers or
 //! shared memory once and running the MAC loop over the staged tile;
 //! this module is the CPU analogue. [`decode_slice`] converts a slice in
-//! one pass, and [`Panel`] stages a whole matrix as a row-major `f32`
-//! panel in a pooled [`crate::scratch`] buffer.
+//! one pass, [`Panel`] stages a whole matrix as a row-major `f32` panel
+//! in a pooled [`crate::scratch`] buffer, and `SlabPanel` stages a GEMM
+//! `B` operand as cache-sized column slabs.
 //!
 //! Bit-identity: FP16→FP32 decode is exact, so replacing a per-use
 //! conversion with a staged panel changes *where* the conversion
@@ -16,6 +17,7 @@
 //! accumulation order, results are bit-identical by construction.
 
 use crate::scratch::{self, ScratchF32};
+use crate::simd::SPAN;
 use crate::{Matrix, Scalar};
 
 /// Decodes `src` into `dst` element-wise (exact for both scalar types).
@@ -132,6 +134,70 @@ impl Panel {
     }
 }
 
+/// The `B` operand of a GEMM decoded into **column slabs**: slab `s`
+/// holds columns `SPAN·s .. SPAN·s + w` of the `k × n` operand as one
+/// contiguous k-major `k × w` block (`w` = [`crate::simd::SPAN`], or
+/// the ragged remainder for the last slab).
+///
+/// A whole-width k-major panel spreads each `SPAN`-wide column window
+/// over `k` cache lines `n · 4` bytes apart; a slab packs the same
+/// window densely, so one slab (393 KB at k = 3072) stays cache-resident
+/// while a block of output rows runs over it. The values are those of a
+/// plain panel, only the layout differs, so consumers stay bit-identical.
+pub(crate) struct SlabPanel {
+    buf: ScratchF32,
+    k: usize,
+    n: usize,
+}
+
+impl SlabPanel {
+    /// Decodes the `k × n` matrix `b` into slabs, one slab per parallel
+    /// task.
+    pub fn from_matrix<T: Scalar>(b: &Matrix<T>) -> SlabPanel {
+        SlabPanel::pack(b.rows(), b.cols(), |j0, kk, dst| {
+            decode_slice(&b.row(kk)[j0..j0 + dst.len()], dst);
+        })
+    }
+
+    /// Decodes the **transpose** of the `n × k` matrix `b` into slabs,
+    /// so `A × Bᵀ` runs through the same slab loop as `A × B`.
+    pub fn from_matrix_transposed<T: Scalar>(b: &Matrix<T>) -> SlabPanel {
+        SlabPanel::pack(b.cols(), b.rows(), |j0, kk, dst| {
+            for (jj, slot) in dst.iter_mut().enumerate() {
+                *slot = b.get(j0 + jj, kk).to_f32();
+            }
+        })
+    }
+
+    /// Fills the slabs of a `k × n` operand: `fill(j0, kk, dst)` writes
+    /// row `kk` of the slab starting at column `j0` into `dst`, whose
+    /// length is the slab's width.
+    fn pack(k: usize, n: usize, fill: impl Fn(usize, usize, &mut [f32]) + Sync) -> SlabPanel {
+        let mut buf = scratch::take_zeroed(k * n);
+        crate::par::for_each_chunk_mut(&mut buf, k * SPAN, |s, slab| {
+            let (j0, w) = (s * SPAN, SPAN.min(n - s * SPAN));
+            for (kk, dst) in slab.chunks_exact_mut(w).enumerate() {
+                fill(j0, kk, dst);
+            }
+        });
+        SlabPanel { buf, k, n }
+    }
+
+    /// Number of slabs, `⌈n / SPAN⌉`.
+    #[inline]
+    pub fn slabs(&self) -> usize {
+        self.n.div_ceil(SPAN)
+    }
+
+    /// Slab `s` as `(first column, width, k-major k × width block)`.
+    #[inline]
+    pub fn slab(&self, s: usize) -> (usize, usize, &[f32]) {
+        let j0 = s * SPAN;
+        let w = SPAN.min(self.n - j0);
+        (j0, w, &self.buf[j0 * self.k..(j0 + w) * self.k])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,6 +253,29 @@ mod tests {
         for c in 0..7 {
             for r in 0..5 {
                 assert_eq!(t.row(c)[r], m.get(r, c).to_f32());
+            }
+        }
+    }
+
+    #[test]
+    fn slabs_hold_column_windows_k_major() {
+        // n = 2·SPAN + 5: two full slabs and a ragged one; the transposed
+        // pack of Bᵀ must produce the identical slabs.
+        let (k, n) = (3, 2 * SPAN + 5);
+        let b = Matrix::<Half>::random(k, n, 8);
+        for slabs in [
+            SlabPanel::from_matrix(&b),
+            SlabPanel::from_matrix_transposed(&b.transpose()),
+        ] {
+            assert_eq!(slabs.slabs(), 3);
+            for s in 0..3 {
+                let (j0, w, block) = slabs.slab(s);
+                assert_eq!((j0, w), (s * SPAN, if s == 2 { 5 } else { SPAN }));
+                for kk in 0..k {
+                    for jj in 0..w {
+                        assert_eq!(block[kk * w + jj], b.get(kk, j0 + jj).to_f32());
+                    }
+                }
             }
         }
     }

@@ -6,6 +6,15 @@
 //! pin that promise over matrices drawn from the **full** `Half` bit
 //! space — which naturally includes subnormals, ±Inf, and NaN — plus
 //! empty and degenerate shapes, under 1-thread and 4-thread pools.
+//!
+//! Known gap: the full-bit-space tests here pass in debug builds (the
+//! tier-1 and CI configuration) but fail under `cargo test --release`,
+//! always on a NaN *payload* (`packed NaN vs reference NaN`), never on a
+//! value. An optimised build may commute the operands of an `fmul` or
+//! `fadd` in either path, and x86 returns the first operand's payload
+//! when both are NaN, so the payload of a NaN-meets-NaN result is not
+//! pinned by the source. `assert_bits_eq` stays strict; the finite-data
+//! test below is the one meant to run under `--release`.
 
 use mg_tensor::{dot, dot_f32, gemm, gemm_nt, naive, simd, Half, Matrix};
 use rayon::ThreadPoolBuilder;
@@ -52,8 +61,11 @@ fn assert_bits_eq(packed: &Matrix<f32>, reference: &Matrix<f32>, ctx: &str) {
     }
 }
 
-/// Shapes chosen to stress the register tiler: empty, single-element,
-/// below/at/above the NR=8 tile width, and odd sizes with ragged tails.
+/// Shapes chosen to stress the register tiler and the slab loop:
+/// empty, single-element, below/at/above the NR=8 tile width, odd sizes
+/// with ragged tails, and row counts past one 64-row block (odd, so the
+/// last block ends on an unpaired row) with `n` past one 32-column slab
+/// and not a multiple of it, at `k` = 0 and 1.
 const SHAPES: &[(usize, usize, usize)] = &[
     (0, 4, 3),
     (3, 0, 5),
@@ -63,6 +75,9 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (4, 16, 8),
     (9, 12, 17),
     (16, 64, 33),
+    (67, 1, 45),
+    (131, 0, 71),
+    (65, 9, 33),
 ];
 
 #[test]
@@ -108,6 +123,28 @@ fn packed_gemm_nt_matches_naive_bitwise_over_full_half_space() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn packed_gemm_matches_naive_bitwise_on_finite_model_shape() {
+    // A model-like shape crossing several row blocks and slabs, each with
+    // a ragged tail. Finite data keeps NaN payloads out, so this test
+    // also holds in optimised builds (see the module docs).
+    let (m, k, n) = (130, 96, 100);
+    let a = Matrix::<Half>::random(m, k, 11);
+    let b = Matrix::<Half>::random(k, n, 12);
+    let bt = Matrix::<Half>::random(n, k, 13);
+    for threads in [1, 4] {
+        let (p, r, p_nt, r_nt) = pool(threads).install(|| {
+            let p: Matrix<f32> = gemm(&a, &b);
+            let r: Matrix<f32> = naive::gemm(&a, &b);
+            let p_nt: Matrix<f32> = gemm_nt(&a, &bt);
+            let r_nt: Matrix<f32> = naive::gemm_nt(&a, &bt);
+            (p, r, p_nt, r_nt)
+        });
+        assert_bits_eq(&p, &r, &format!("finite gemm threads {threads}"));
+        assert_bits_eq(&p_nt, &r_nt, &format!("finite gemm_nt threads {threads}"));
     }
 }
 
