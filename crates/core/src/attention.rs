@@ -14,7 +14,7 @@
 //!   suite pins against the dense reference.
 
 use crate::{AttentionProblem, PipelineReport};
-use mg_gpusim::{Gpu, KernelProfile, StreamId};
+use mg_gpusim::{DeviceSpec, Gpu, KernelProfile, StreamId};
 use mg_kernels::{
     blocked_softmax_profile, coarse_sddmm_compute, coarse_sddmm_profile, coarse_spmm_compute,
     coarse_spmm_profile, compound_softmax_compute, compound_softmax_profile, dense_sddmm_compute,
@@ -26,6 +26,8 @@ use mg_kernels::{
 use mg_patterns::{BlockedPattern, SlicedPattern};
 use mg_sparse::{Csr, SparseError};
 use mg_tensor::{Half, Matrix};
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Which execution method processes the compound sparse attention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -123,11 +125,33 @@ impl PlanMemory {
 
 /// A planned sparse attention: the problem plus the method-specific
 /// metadata generated ahead of inference (paper §3.1, step 2).
-#[derive(Debug, Clone)]
+///
+/// A plan is priced once: each phase's kernel profiles are built on the
+/// first [`Attention::phase_profiles`] call and kept for the device they
+/// were priced on, so serving and decode loops that reuse a cached plan
+/// skip the cost model.
+#[derive(Clone)]
 pub struct Attention {
     method: Method,
     problem: AttentionProblem,
     plan: Plan,
+    /// Per [`Op`], the device the phase was first priced on and its
+    /// profiles there.
+    priced: [OnceLock<PricedPhase>; 4],
+}
+
+type PricedPhase = (DeviceSpec, Vec<(StreamRole, KernelProfile)>);
+
+/// The memoised profiles are derived data, so they stay out of the
+/// plan's debug view.
+impl std::fmt::Debug for Attention {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Attention")
+            .field("method", &self.method)
+            .field("problem", &self.problem)
+            .field("plan", &self.plan)
+            .finish()
+    }
 }
 
 impl Attention {
@@ -155,6 +179,7 @@ impl Attention {
             method,
             problem,
             plan,
+            priced: Default::default(),
         })
     }
 
@@ -222,11 +247,24 @@ impl Attention {
     }
 
     /// The kernels of one pipeline phase, tagged with their stream role.
-    pub fn phase_profiles(
-        &self,
-        spec: &mg_gpusim::DeviceSpec,
-        op: Op,
-    ) -> Vec<(StreamRole, KernelProfile)> {
+    pub fn phase_profiles(&self, spec: &DeviceSpec, op: Op) -> Vec<(StreamRole, KernelProfile)> {
+        self.priced_phase(spec, op).into_owned()
+    }
+
+    /// The phase's profiles from the memo when `spec` is the device the
+    /// phase was first priced on, freshly priced otherwise.
+    fn priced_phase(&self, spec: &DeviceSpec, op: Op) -> Cow<'_, [(StreamRole, KernelProfile)]> {
+        let (priced_on, profiles) =
+            self.priced[op as usize].get_or_init(|| (spec.clone(), self.price_phase(spec, op)));
+        if priced_on == spec {
+            Cow::Borrowed(profiles)
+        } else {
+            Cow::Owned(self.price_phase(spec, op))
+        }
+    }
+
+    /// Runs the cost model for one phase.
+    fn price_phase(&self, spec: &DeviceSpec, op: Op) -> Vec<(StreamRole, KernelProfile)> {
         let dims = self.problem.dims();
         match (&self.plan, op) {
             (Plan::Sputnik(csr), Op::Sddmm) => vec![(
@@ -287,7 +325,7 @@ impl Attention {
 
     fn multigrain_phase(
         &self,
-        spec: &mg_gpusim::DeviceSpec,
+        spec: &DeviceSpec,
         sliced: &SlicedPattern,
         op: Op,
     ) -> Vec<(StreamRole, KernelProfile)> {
@@ -477,19 +515,19 @@ impl Attention {
     /// without padding every sample to a shared pattern.
     pub fn batch_phase_profiles(
         attns: &[&Attention],
-        spec: &mg_gpusim::DeviceSpec,
+        spec: &DeviceSpec,
         op: Op,
     ) -> Vec<(StreamRole, KernelProfile)> {
         let mut merged: Vec<(StreamRole, KernelProfile)> = Vec::new();
         for attn in attns {
-            for (role, profile) in attn.phase_profiles(spec, op) {
+            for (role, profile) in attn.priced_phase(spec, op).iter() {
                 if let Some((_, existing)) = merged
                     .iter_mut()
-                    .find(|(r, p)| *r == role && p.name == profile.name)
+                    .find(|(r, p)| r == role && p.name == profile.name)
                 {
-                    existing.extend_with(&profile);
+                    existing.extend_with(profile);
                 } else {
-                    merged.push((role, profile));
+                    merged.push((*role, profile.clone()));
                 }
             }
         }
@@ -564,7 +602,7 @@ impl Attention {
 
     /// Launches this attention's kernels with kernel-level dependencies
     /// but does not synchronize; the caller owns the barrier.
-    fn launch_pipelined_dag(&self, gpu: &mut Gpu, spec: &mg_gpusim::DeviceSpec) {
+    fn launch_pipelined_dag(&self, gpu: &mut Gpu, spec: &DeviceSpec) {
         // Kernel-name -> id table. Lookup-only today, but a BTreeMap
         // keeps even accidental iteration deterministic (mg-lint D1).
         let mut ids: std::collections::BTreeMap<String, mg_gpusim::KernelId> =
@@ -705,10 +743,7 @@ impl Attention {
 /// # Panics
 ///
 /// Panics if no candidate divides the sequence length.
-pub fn autotune_block_size(
-    spec: &mg_gpusim::DeviceSpec,
-    problem: &AttentionProblem,
-) -> (usize, f64) {
+pub fn autotune_block_size(spec: &DeviceSpec, problem: &AttentionProblem) -> (usize, f64) {
     let mut best: Option<(usize, f64)> = None;
     for block in [16usize, 32, 64, 128] {
         if !problem.pattern().seq_len().is_multiple_of(block) {
@@ -737,7 +772,6 @@ pub fn autotune_block_size(
 mod tests {
     use super::*;
     use crate::reference_attention;
-    use mg_gpusim::DeviceSpec;
     use mg_patterns::{AtomicPattern, CompoundPattern};
 
     fn problem() -> AttentionProblem {
@@ -1066,5 +1100,69 @@ mod tests {
         assert!(Attention::plan(Method::TritonStyle, prob.clone()).is_err());
         // Sputnik does not care about blocks.
         assert!(Attention::plan(Method::SputnikStyle, prob).is_ok());
+    }
+
+    #[test]
+    fn plan_rejects_zero_block_size() {
+        let prob = AttentionProblem::new(problem().pattern().clone(), 16, 1, 1, 0);
+        for method in [Method::Multigrain, Method::TritonStyle] {
+            assert!(
+                matches!(
+                    Attention::plan(method, prob.clone()),
+                    Err(SparseError::BlockMisaligned { block_size: 0, .. })
+                ),
+                "{method:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_pricing_matches_the_first() {
+        let spec = DeviceSpec::a100();
+        for method in Method::EXTENDED {
+            let attn = Attention::plan(method, problem()).expect("aligned");
+            for op in [Op::Sddmm, Op::Softmax, Op::Spmm, Op::Merge] {
+                let first = attn.phase_profiles(&spec, op);
+                assert_eq!(attn.phase_profiles(&spec, op), first, "{method:?} {op:?}");
+                // A fresh plan prices from scratch.
+                let fresh = Attention::plan(method, problem()).expect("aligned");
+                assert_eq!(fresh.phase_profiles(&spec, op), first, "{method:?} {op:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_device_gets_its_own_profiles() {
+        let a100 = DeviceSpec::a100();
+        // A device whose caches this problem overflows.
+        let small = DeviceSpec {
+            l1_per_sm: 256,
+            l2_bytes: 4096,
+            ..DeviceSpec::rtx3090()
+        };
+        let attn = Attention::plan(Method::Multigrain, problem()).expect("aligned");
+        for op in [Op::Sddmm, Op::Softmax, Op::Spmm, Op::Merge] {
+            let on_a100 = attn.phase_profiles(&a100, op);
+            let on_small = attn.phase_profiles(&small, op);
+            let fresh = Attention::plan(Method::Multigrain, problem()).expect("aligned");
+            assert_eq!(on_small, fresh.phase_profiles(&small, op), "{op:?}");
+            assert_eq!(attn.phase_profiles(&a100, op), on_a100, "{op:?}");
+        }
+        // The cache model depends on the device, so the memo must not
+        // answer for the second one.
+        assert_ne!(
+            attn.phase_profiles(&a100, Op::Sddmm),
+            attn.phase_profiles(&small, Op::Sddmm)
+        );
+    }
+
+    #[test]
+    fn debug_output_omits_the_pricing_memo() {
+        let attn = Attention::plan(Method::SputnikStyle, problem()).expect("aligned");
+        let before = format!("{attn:?}");
+        attn.phase_profiles(&DeviceSpec::a100(), Op::Sddmm);
+        let after = format!("{attn:?}");
+        assert_eq!(before, after);
+        assert!(!after.contains("priced") && !after.contains("sputnik.sddmm"));
     }
 }

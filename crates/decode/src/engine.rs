@@ -643,14 +643,15 @@ impl DecodeSim {
 /// The reallocation copy a KV growth event costs: a streaming
 /// read-modify-write of the resident cache bytes.
 fn kv_grow_profile(bytes: u64) -> KernelProfile {
-    KernelProfile {
-        name: "kv_grow".to_owned(),
-        launch: LaunchConfig {
+    KernelProfile::uniform(
+        "kv_grow",
+        LaunchConfig {
             threads_per_tb: 256,
             regs_per_thread: 32,
             smem_per_tb: 0,
         },
-        tbs: vec![TbWork {
+        1,
+        TbWork {
             tensor_macs: 0,
             cuda_flops: 0,
             sfu_ops: 0,
@@ -658,9 +659,8 @@ fn kv_grow_profile(bytes: u64) -> KernelProfile {
             dram_read: bytes,
             dram_write: bytes,
             stall_cycles: 0,
-        }],
-        cache: None,
-    }
+        },
+    )
 }
 
 #[cfg(test)]

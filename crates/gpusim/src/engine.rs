@@ -106,13 +106,14 @@ pub const DEFAULT_STREAM: StreamId = StreamId(0);
 /// Duration and busy fraction of one kernel run on `sms` SMs.
 fn kernel_time_on(spec: &DeviceSpec, profile: &KernelProfile, sms: usize) -> (f64, f64, BoundKind) {
     let sms = sms.max(1);
-    if profile.tbs.is_empty() {
+    let tb_count = profile.tb_count();
+    if tb_count == 0 {
         return (spec.launch_overhead_s, 1.0, BoundKind::Schedule);
     }
     let resident = resident_tbs_per_sm(spec, &profile.launch);
     // Blocks actually co-resident per SM: bounded by occupancy, but an
     // underfilled grid leaves SMs with fewer (or no) neighbours.
-    let concurrent = profile.tbs.len().div_ceil(sms).clamp(1, resident);
+    let concurrent = tb_count.div_ceil(sms).clamp(1, resident);
     let slots = sms * concurrent;
     // A block's share of the SM pipes: fair share among co-residents, but
     // never more than its own warps can issue.
@@ -137,18 +138,27 @@ fn kernel_time_on(spec: &DeviceSpec, profile: &KernelProfile, sms: usize) -> (f6
     };
 
     // Greedy list schedule: each block goes to the earliest-free slot.
-    let mut heap: BinaryHeap<Reverse<OrderedF64>> = (0..slots.min(profile.tbs.len()))
+    // A run's blocks are timed once and replayed `repeat` times; the
+    // earliest-free slot is rescheduled in place, which leaves the same
+    // multiset of free times as a pop followed by a push.
+    let mut heap: BinaryHeap<Reverse<OrderedF64>> = (0..slots.min(tb_count))
         .map(|_| Reverse(OrderedF64(0.0)))
         .collect();
     let mut busy_total = 0.0;
     let mut makespan = 0.0f64;
-    for w in &profile.tbs {
-        let Reverse(OrderedF64(free_at)) = heap.pop().expect("slots > 0");
-        let t = tb_time(w);
-        busy_total += t;
-        let end = free_at + t;
-        makespan = makespan.max(end);
-        heap.push(Reverse(OrderedF64(end)));
+    let mut times: Vec<f64> = Vec::new();
+    for (blocks, repeat) in profile.runs() {
+        times.clear();
+        times.extend(blocks.iter().map(&tb_time));
+        for _ in 0..repeat {
+            for &t in &times {
+                let mut slot = heap.peek_mut().expect("slots > 0");
+                let end = slot.0 .0 + t;
+                busy_total += t;
+                makespan = makespan.max(end);
+                *slot = Reverse(OrderedF64(end));
+            }
+        }
     }
 
     // Aggregate rooflines over the allocation (bandwidth and pipes cannot
@@ -756,12 +766,12 @@ mod tests {
             cuda_flops: 1 << 28,
             ..TbWork::default()
         });
-        let rec = gpu.run_solo(KernelProfile {
-            name: "s".into(),
-            launch: LaunchConfig::default(),
+        let rec = gpu.run_solo(KernelProfile::replicated(
+            "s",
+            LaunchConfig::default(),
             tbs,
-            cache: None,
-        });
+            1,
+        ));
         assert_eq!(rec.bound, BoundKind::Schedule);
     }
 
@@ -831,12 +841,7 @@ mod tests {
     fn straggler_block_dominates() {
         let mut tbs = vec![compute_tb(1 << 16); 1000];
         tbs.push(compute_tb(1 << 28));
-        let profile = KernelProfile {
-            name: "skewed".into(),
-            launch: LaunchConfig::default(),
-            tbs,
-            cache: None,
-        };
+        let profile = KernelProfile::replicated("skewed", LaunchConfig::default(), tbs, 1);
         let mut gpu = Gpu::new(DeviceSpec::a100());
         let rec = gpu.run_solo(profile);
         assert!(
@@ -974,22 +979,9 @@ mod tests {
         let s1 = gpu.create_stream();
         gpu.launch(
             DEFAULT_STREAM,
-            KernelProfile {
-                name: "a".into(),
-                launch: LaunchConfig::default(),
-                tbs: vec![],
-                cache: None,
-            },
+            KernelProfile::new("a", LaunchConfig::default()),
         );
-        gpu.launch(
-            s1,
-            KernelProfile {
-                name: "b".into(),
-                launch: LaunchConfig::default(),
-                tbs: vec![],
-                cache: None,
-            },
-        );
+        gpu.launch(s1, KernelProfile::new("b", LaunchConfig::default()));
         let t = gpu.synchronize();
         assert!(t > 0.0);
         assert_eq!(gpu.records().len(), 2);
@@ -1011,12 +1003,7 @@ mod tests {
     fn empty_kernel_costs_launch_overhead() {
         let mut gpu = Gpu::new(DeviceSpec::a100());
         let d = gpu
-            .run_solo(KernelProfile {
-                name: "empty".into(),
-                launch: LaunchConfig::default(),
-                tbs: vec![],
-                cache: None,
-            })
+            .run_solo(KernelProfile::new("empty", LaunchConfig::default()))
             .duration();
         assert!((d - DeviceSpec::a100().launch_overhead_s).abs() < 1e-12);
     }

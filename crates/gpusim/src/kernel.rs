@@ -64,6 +64,19 @@ impl TbWork {
         self.dram_read + self.dram_write
     }
 
+    /// Every field multiplied by `k`: the work of `k` copies of a block.
+    fn scaled(self, k: u64) -> TbWork {
+        TbWork {
+            tensor_macs: self.tensor_macs * k,
+            cuda_flops: self.cuda_flops * k,
+            sfu_ops: self.sfu_ops * k,
+            l2_read: self.l2_read * k,
+            dram_read: self.dram_read * k,
+            dram_write: self.dram_write * k,
+            stall_cycles: self.stall_cycles * k,
+        }
+    }
+
     /// Element-wise sum of two work descriptions.
     pub fn merged(self, other: TbWork) -> TbWork {
         TbWork {
@@ -111,6 +124,13 @@ impl CacheStats {
 /// A complete kernel work description: launch resources plus per-block
 /// work.
 ///
+/// The grid is stored as ordered runs: each run holds some thread blocks
+/// and dispatches them `repeat` times back to back. A kernel replicated
+/// over heads keeps one head's blocks once with `repeat = heads`, so
+/// every pass over the grid (cache filtering, totals, the engine's list
+/// schedule) prices each stored block once. [`KernelProfile::blocks`]
+/// yields the expanded grid in dispatch order.
+///
 /// # Examples
 ///
 /// ```
@@ -124,17 +144,39 @@ impl CacheStats {
 /// );
 /// assert_eq!(profile.tb_count(), 64);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct KernelProfile {
     /// Kernel name, used in records and reports.
     pub name: String,
     /// Per-block resource requirements.
     pub launch: LaunchConfig,
-    /// The work of every thread block in dispatch order.
-    pub tbs: Vec<TbWork>,
+    /// The stored blocks of every run, run after run.
+    blocks: Vec<TbWork>,
+    /// The runs over `blocks`, in dispatch order. Never holds an empty
+    /// run.
+    runs: Vec<Run>,
     /// Cache-filter inputs, set by the cache model so merged profiles can
     /// be re-filtered (see [`CacheStats`]). `None` for raw profiles.
     pub cache: Option<CacheStats>,
+}
+
+/// `len` consecutive stored blocks dispatched `repeat` times.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    len: usize,
+    repeat: usize,
+}
+
+/// Profiles are equal when they launch the same grid: the same blocks in
+/// the same dispatch order, however the runs group them.
+impl PartialEq for KernelProfile {
+    fn eq(&self, other: &KernelProfile) -> bool {
+        self.name == other.name
+            && self.launch == other.launch
+            && self.cache == other.cache
+            && self.tb_count() == other.tb_count()
+            && self.blocks().eq(other.blocks())
+    }
 }
 
 impl KernelProfile {
@@ -145,39 +187,114 @@ impl KernelProfile {
         n: usize,
         work: TbWork,
     ) -> KernelProfile {
+        KernelProfile::replicated(name, launch, vec![work], n)
+    }
+
+    /// Creates a profile with an empty grid; [`KernelProfile::push_run`]
+    /// adds blocks.
+    pub fn new(name: impl Into<String>, launch: LaunchConfig) -> KernelProfile {
         KernelProfile {
             name: name.into(),
             launch,
-            tbs: vec![work; n],
+            blocks: Vec::new(),
+            runs: Vec::new(),
             cache: None,
         }
     }
 
+    /// Creates a profile that dispatches `blocks` `instances` times back
+    /// to back — one kernel launch over `instances` identical per-head
+    /// grids. `instances == 1` gives an explicit grid.
+    pub fn replicated(
+        name: impl Into<String>,
+        launch: LaunchConfig,
+        blocks: Vec<TbWork>,
+        instances: usize,
+    ) -> KernelProfile {
+        let mut profile = KernelProfile::new(name, launch);
+        if !blocks.is_empty() && instances > 0 {
+            profile.runs.push(Run {
+                len: blocks.len(),
+                repeat: instances,
+            });
+            profile.blocks = blocks;
+        }
+        profile
+    }
+
+    /// Appends a run: `blocks` dispatched `repeat` times after the
+    /// current grid.
+    pub fn push_run(&mut self, blocks: &[TbWork], repeat: usize) {
+        if blocks.is_empty() || repeat == 0 {
+            return;
+        }
+        self.blocks.extend_from_slice(blocks);
+        self.runs.push(Run {
+            len: blocks.len(),
+            repeat,
+        });
+    }
+
+    /// The grid's runs as `(blocks, repeat)` pairs, in dispatch order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (&[TbWork], usize)> + '_ {
+        let mut start = 0;
+        self.runs.iter().map(move |run| {
+            let blocks = &self.blocks[start..start + run.len];
+            start += run.len;
+            (blocks, run.repeat)
+        })
+    }
+
+    /// Every thread block of the grid in dispatch order (runs expanded).
+    pub fn blocks(&self) -> impl Iterator<Item = &TbWork> + '_ {
+        self.runs()
+            .flat_map(|(blocks, repeat)| (0..repeat).flat_map(move |_| blocks.iter()))
+    }
+
+    /// The stored blocks, each once however often its run repeats it.
+    /// A change to a stored block applies to every dispatch of it.
+    pub fn stored_blocks_mut(&mut self) -> std::slice::IterMut<'_, TbWork> {
+        self.blocks.iter_mut()
+    }
+
+    /// `f` summed over every dispatched block.
+    pub fn sum_blocks(&self, f: impl Fn(&TbWork) -> u64) -> u64 {
+        self.runs()
+            .map(|(blocks, repeat)| blocks.iter().map(&f).sum::<u64>() * repeat as u64)
+            .sum()
+    }
+
     /// Number of thread blocks in the grid.
     pub fn tb_count(&self) -> usize {
-        self.tbs.len()
+        self.runs.iter().map(|run| run.len * run.repeat).sum()
     }
 
     /// Aggregate work across all blocks.
     pub fn total(&self) -> TbWork {
-        self.tbs
-            .iter()
-            .fold(TbWork::default(), |acc, &w| acc.merged(w))
+        self.runs()
+            .map(|(blocks, repeat)| {
+                blocks
+                    .iter()
+                    .fold(TbWork::default(), |acc, &w| acc.merged(w))
+                    .scaled(repeat as u64)
+            })
+            .fold(TbWork::default(), TbWork::merged)
     }
 
     /// Total bytes moved to or from device memory.
     pub fn total_dram_bytes(&self) -> u64 {
-        self.tbs.iter().map(TbWork::dram_bytes).sum()
+        self.sum_blocks(TbWork::dram_bytes)
     }
 
-    /// Appends another kernel's blocks (used to batch per-head grids into
+    /// Appends another kernel's runs (used to batch per-head grids into
     /// one launch, as batched kernels do).
     pub fn extend_with(&mut self, other: &KernelProfile) {
         debug_assert_eq!(
             self.launch, other.launch,
             "batched grids share a launch config"
         );
-        self.tbs.extend_from_slice(&other.tbs);
+        self.blocks.extend_from_slice(&other.blocks);
+        self.runs.extend_from_slice(&other.runs);
         self.cache = match (self.cache, other.cache) {
             (Some(a), Some(b)) => Some(a.merged(b)),
             _ => None, // mixed raw/filtered profiles cannot be re-filtered

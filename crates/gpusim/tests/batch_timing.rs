@@ -29,16 +29,16 @@ fn profiles() -> Vec<KernelProfile> {
                     ..TbWork::default()
                 });
             }
-            KernelProfile {
-                name: format!("k{i}"),
-                launch: LaunchConfig {
+            KernelProfile::replicated(
+                format!("k{i}"),
+                LaunchConfig {
                     threads_per_tb: 128 + 32 * (i % 4),
                     regs_per_thread: 64,
                     smem_per_tb: 16 * 1024,
                 },
                 tbs,
-                cache: None,
-            }
+                1,
+            )
         })
         .collect()
 }

@@ -1,7 +1,9 @@
 //! Property-based tests on the timing engine: monotonicity, conservation,
 //! and scheduling invariants over randomized kernel profiles.
 
-use mg_gpusim::{DeviceSpec, Gpu, KernelProfile, LaunchConfig, TbWork, DEFAULT_STREAM};
+use mg_gpusim::{
+    time_kernel, DeviceSpec, Gpu, KernelProfile, LaunchConfig, TbWork, DEFAULT_STREAM,
+};
 use proptest::prelude::*;
 
 fn arb_work() -> impl Strategy<Value = TbWork> {
@@ -20,21 +22,85 @@ fn arb_work() -> impl Strategy<Value = TbWork> {
 
 fn arb_profile() -> impl Strategy<Value = KernelProfile> {
     (proptest::collection::vec(arb_work(), 1..200), 1usize..9).prop_map(|(tbs, warps)| {
-        KernelProfile {
-            name: "k".to_owned(),
-            launch: LaunchConfig {
+        KernelProfile::replicated(
+            "k",
+            LaunchConfig {
                 threads_per_tb: warps * 32,
                 regs_per_thread: 64,
                 smem_per_tb: 4096,
             },
             tbs,
-            cache: None,
-        }
+            1,
+        )
     })
+}
+
+/// A grid as runs of `(blocks, repeat)`, plus the warps per block.
+type Runs = (Vec<(Vec<TbWork>, usize)>, usize);
+
+fn arb_runs() -> impl Strategy<Value = Runs> {
+    (
+        proptest::collection::vec(
+            (proptest::collection::vec(arb_work(), 1..24), 1usize..16),
+            1..5,
+        ),
+        1usize..9,
+    )
+}
+
+fn launch(warps: usize) -> LaunchConfig {
+    LaunchConfig {
+        threads_per_tb: warps * 32,
+        regs_per_thread: 64,
+        smem_per_tb: 4096,
+    }
+}
+
+/// The grid stored as runs.
+fn compact((runs, warps): &Runs) -> KernelProfile {
+    let mut p = KernelProfile::new("k", launch(*warps));
+    for (blocks, repeat) in runs {
+        p.push_run(blocks, *repeat);
+    }
+    p
+}
+
+/// The same grid with every run written out block by block.
+fn expanded((runs, warps): &Runs) -> KernelProfile {
+    let tbs: Vec<TbWork> = runs
+        .iter()
+        .flat_map(|(blocks, repeat)| std::iter::repeat_n(blocks, *repeat).flatten().copied())
+        .collect();
+    KernelProfile::replicated("k", launch(*warps), tbs, 1)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A run-compact grid describes exactly its expanded grid: the same
+    /// blocks in dispatch order, totals, and timing record, solo on two
+    /// devices and co-executing with another kernel.
+    #[test]
+    fn compact_and_expanded_grids_time_identically(runs in arb_runs(), other in arb_runs()) {
+        let (c, e) = (compact(&runs), expanded(&runs));
+        prop_assert_eq!(&c, &e);
+        prop_assert_eq!(c.tb_count(), e.tb_count());
+        prop_assert_eq!(c.total(), e.total());
+        prop_assert_eq!(c.total_dram_bytes(), e.total_dram_bytes());
+        for spec in [DeviceSpec::a100(), DeviceSpec::rtx3090()] {
+            prop_assert_eq!(time_kernel(&spec, &c), time_kernel(&spec, &e));
+            let mut records = Vec::new();
+            for (p, q) in [(&c, compact(&other)), (&e, expanded(&other))] {
+                let mut gpu = Gpu::new(spec.clone());
+                let s1 = gpu.create_stream();
+                gpu.launch(DEFAULT_STREAM, p.clone());
+                gpu.launch(s1, q);
+                gpu.synchronize();
+                records.push(gpu.records().to_vec());
+            }
+            prop_assert_eq!(&records[0], &records[1]);
+        }
+    }
 
     /// Durations are strictly positive and finite.
     #[test]
@@ -51,7 +117,7 @@ proptest! {
         let base = gpu.run_solo(p.clone()).duration();
         gpu.reset();
         let mut bigger = p;
-        bigger.tbs.push(extra);
+        bigger.push_run(&[extra], 1);
         let more = gpu.run_solo(bigger).duration();
         prop_assert!(more >= base * 0.999, "{more} < {base}");
     }
@@ -63,7 +129,7 @@ proptest! {
         let base = gpu.run_solo(p.clone()).duration();
         gpu.reset();
         let mut doubled = p;
-        for tb in &mut doubled.tbs {
+        for tb in doubled.stored_blocks_mut() {
             tb.tensor_macs *= 2;
             tb.cuda_flops *= 2;
             tb.l2_read *= 2;

@@ -60,7 +60,7 @@ pub fn l2_miss_rate(spec: &DeviceSpec, unique_bytes: u64) -> f64 {
 /// `dram_read` zero; per-block proportions are preserved so load-imbalance
 /// effects survive the filtering.
 pub fn apply_cache_model(spec: &DeviceSpec, profile: &mut KernelProfile, hints: CacheHints) {
-    let raw: u64 = profile.tbs.iter().map(|t| t.l2_read).sum();
+    let raw = profile.sum_blocks(|t| t.l2_read);
     // Record the filter inputs so merged profiles can be re-filtered.
     let prior_write = profile.cache.map_or(0, |c| c.raw_write);
     profile.cache = Some(CacheStats {
@@ -81,7 +81,9 @@ pub fn apply_cache_model(spec: &DeviceSpec, profile: &mut KernelProfile, hints: 
 
     let l2_scale = l2_total / raw as f64;
     let dram_scale = dram_total / raw as f64;
-    for tb in &mut profile.tbs {
+    // Each block's rescale depends only on its own value, so scaling the
+    // stored blocks once scales every dispatch of them.
+    for tb in profile.stored_blocks_mut() {
         debug_assert_eq!(
             tb.dram_read, 0,
             "kernels must leave dram_read to the cache model"
@@ -98,7 +100,7 @@ pub fn apply_cache_model(spec: &DeviceSpec, profile: &mut KernelProfile, hints: 
 /// survives; the L2-bandwidth cost of the writes is unchanged (the engine
 /// charges `dram_write` on the L2 pipe regardless).
 pub fn apply_writeback_filter(spec: &DeviceSpec, profile: &mut KernelProfile) {
-    let total_write: u64 = profile.tbs.iter().map(|t| t.dram_write).sum();
+    let total_write = profile.sum_blocks(|t| t.dram_write);
     if let Some(cache) = &mut profile.cache {
         cache.raw_write = total_write;
     } else {
@@ -114,7 +116,7 @@ pub fn apply_writeback_filter(spec: &DeviceSpec, profile: &mut KernelProfile) {
     }
     let l2_half = spec.l2_bytes as f64 * 0.5;
     let evicted = (total_write as f64 / l2_half).clamp(0.25, 1.0);
-    for tb in &mut profile.tbs {
+    for tb in profile.stored_blocks_mut() {
         tb.dram_write = (tb.dram_write as f64 * evicted).round() as u64;
     }
 }
@@ -133,10 +135,10 @@ pub fn reapply_cache_model(spec: &DeviceSpec, profile: &mut KernelProfile) {
     };
     // Restore raw loads proportionally, then re-filter with the merged
     // working set.
-    let cur_l2: u64 = profile.tbs.iter().map(|t| t.l2_read).sum();
+    let cur_l2 = profile.sum_blocks(|t| t.l2_read);
     if stats.raw_l2 > 0 && cur_l2 > 0 {
         let scale = stats.raw_l2 as f64 / cur_l2 as f64;
-        for tb in &mut profile.tbs {
+        for tb in profile.stored_blocks_mut() {
             tb.l2_read = (tb.l2_read as f64 * scale).round() as u64;
             tb.dram_read = 0;
         }
@@ -149,10 +151,10 @@ pub fn reapply_cache_model(spec: &DeviceSpec, profile: &mut KernelProfile) {
             },
         );
     }
-    let cur_w: u64 = profile.tbs.iter().map(|t| t.dram_write).sum();
+    let cur_w = profile.sum_blocks(|t| t.dram_write);
     if stats.raw_write > 0 && cur_w > 0 {
         let scale = stats.raw_write as f64 / cur_w as f64;
-        for tb in &mut profile.tbs {
+        for tb in profile.stored_blocks_mut() {
             tb.dram_write = (tb.dram_write as f64 * scale).round() as u64;
         }
         apply_writeback_filter(spec, profile);
@@ -195,7 +197,7 @@ mod tests {
                 reuse_footprint: 64 * 1024,
             },
         );
-        let l2: u64 = p.tbs.iter().map(|t| t.l2_read).sum();
+        let l2: u64 = p.sum_blocks(|t| t.l2_read);
         // 1 MiB unique + 5% of 99 MiB re-touches.
         assert!(l2 < 8 << 20, "l2 traffic filtered by L1: {l2}");
     }
@@ -212,11 +214,11 @@ mod tests {
                 reuse_footprint: 8 << 20,
             },
         );
-        let l2: u64 = p.tbs.iter().map(|t| t.l2_read).sum();
+        let l2: u64 = p.sum_blocks(|t| t.l2_read);
         // 1 MiB unique + 65% of the 99 MiB re-touches (L1 floor is 35%).
         assert!(l2 > 50 << 20, "scattered touches hit L2: {l2}");
         // But the working set fits L2, so DRAM stays near-compulsory.
-        let dram: u64 = p.tbs.iter().map(|t| t.dram_read).sum();
+        let dram: u64 = p.sum_blocks(|t| t.dram_read);
         assert!(dram < 10 << 20, "dram filtered by L2: {dram}");
     }
 
@@ -232,15 +234,19 @@ mod tests {
                 reuse_footprint: 80 << 30,
             },
         );
-        let dram: u64 = p.tbs.iter().map(|t| t.dram_read).sum();
+        let dram: u64 = p.sum_blocks(|t| t.dram_read);
         assert!(dram > 90 << 30, "little cache help: {dram}");
     }
 
     #[test]
     fn per_tb_proportions_preserved() {
         let spec = DeviceSpec::a100();
-        let mut p = profile(1000, 2);
-        p.tbs[1].l2_read = 3000;
+        let tb = |l2_read| TbWork {
+            l2_read,
+            ..TbWork::default()
+        };
+        let mut p =
+            KernelProfile::replicated("k", LaunchConfig::default(), vec![tb(1000), tb(3000)], 1);
         apply_cache_model(
             &spec,
             &mut p,
@@ -249,8 +255,9 @@ mod tests {
                 reuse_footprint: 1 << 30,
             },
         );
-        assert!(p.tbs[1].l2_read >= 2 * p.tbs[0].l2_read);
-        assert!(p.tbs[1].dram_read >= 2 * p.tbs[0].dram_read);
+        let tbs: Vec<&TbWork> = p.blocks().collect();
+        assert!(tbs[1].l2_read >= 2 * tbs[0].l2_read);
+        assert!(tbs[1].dram_read >= 2 * tbs[0].dram_read);
     }
 
     #[test]
@@ -266,7 +273,7 @@ mod tests {
             },
         );
         apply_writeback_filter(&spec, &mut p); // 1 MB << 20 MB half-L2
-        let w: u64 = p.tbs.iter().map(|t| t.dram_write).sum();
+        let w: u64 = p.sum_blocks(|t| t.dram_write);
         assert_eq!(w, 250_000, "25% eviction floor");
     }
 
@@ -283,7 +290,7 @@ mod tests {
             },
         );
         apply_writeback_filter(&spec, &mut p); // 10 GiB >> L2
-        let w: u64 = p.tbs.iter().map(|t| t.dram_write).sum();
+        let w: u64 = p.sum_blocks(|t| t.dram_write);
         assert_eq!(w, 10 << 30);
     }
 
@@ -315,10 +322,10 @@ mod tests {
         for _ in 0..15 {
             merged.extend_with(&one);
         }
-        let naive: u64 = merged.tbs.iter().map(|t| t.dram_read).sum();
+        let naive: u64 = merged.sum_blocks(|t| t.dram_read);
         reapply_cache_model(&spec, &mut merged);
-        let refiltered: u64 = merged.tbs.iter().map(|t| t.dram_read).sum();
-        let truth: u64 = sixteen.tbs.iter().map(|t| t.dram_read).sum();
+        let refiltered: u64 = merged.sum_blocks(|t| t.dram_read);
+        let truth: u64 = sixteen.sum_blocks(|t| t.dram_read);
         assert!(
             naive < truth / 2,
             "naive merge undercounts: {naive} vs {truth}"

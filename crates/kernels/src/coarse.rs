@@ -50,7 +50,6 @@ pub fn coarse_sddmm_profile(
     let b = structure.block_size();
     let dh = dims.head_dim;
     let launch = coarse_launch(b, dh);
-    let mut tbs = Vec::new();
     let per_instance: Vec<TbWork> = match mapping {
         CoarseMapping::BlockRowPerTb => par::map_indexed(structure.block_rows(), |br| {
             let n = structure.block_row_nnz(br) as u64;
@@ -85,15 +84,7 @@ pub fn coarse_sddmm_profile(
             })
             .collect(),
     };
-    for _ in 0..dims.instances() {
-        tbs.extend_from_slice(&per_instance);
-    }
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch,
-        tbs,
-        cache: None,
-    };
+    let mut profile = KernelProfile::replicated(name, launch, per_instance, dims.instances());
     let unique = 2 * dims.operand_bytes() * dims.instances() as u64
         + structure.metadata_bytes() * dims.instances() as u64;
     apply_cache_model(
@@ -233,16 +224,7 @@ pub fn coarse_spmm_profile(
     .into_iter()
     .flatten()
     .collect();
-    let mut tbs = Vec::new();
-    for _ in 0..dims.instances() {
-        tbs.extend_from_slice(&per_instance);
-    }
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch,
-        tbs,
-        cache: None,
-    };
+    let mut profile = KernelProfile::replicated(name, launch, per_instance, dims.instances());
     let unique = (structure.value_bytes() + structure.metadata_bytes() + dims.operand_bytes())
         * dims.instances() as u64;
     apply_cache_model(

@@ -35,7 +35,7 @@ pub fn decode_step_profile(
         regs_per_thread: 96, // the context accumulator lives in registers
         smem_per_tb: 2 * head_dim * 2,
     };
-    let mut tbs = Vec::with_capacity(row_nnzs.len() * heads.max(1));
+    let mut profile = KernelProfile::new(name, launch);
     for &nnz in row_nnzs {
         let n = nnz as u64;
         let work = TbWork {
@@ -53,16 +53,8 @@ pub fn decode_step_profile(
             // the row's columns.
             stall_cycles: tuning::PIPELINED_STALL_CYCLES + n * tuning::FUSED_CHAIN_STALL_PER_NNZ,
         };
-        for _ in 0..heads.max(1) {
-            tbs.push(work);
-        }
+        profile.push_run(&[work], heads.max(1));
     }
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch,
-        tbs,
-        cache: None,
-    };
     // Every K/V row is touched exactly once per step: streaming reads
     // with no intra-step reuse beyond the staged Q row.
     let total_nnz: u64 = row_nnzs.iter().map(|&n| n as u64).sum();

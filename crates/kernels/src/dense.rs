@@ -62,7 +62,7 @@ pub fn dense_gemm_profile(
             dram_write: tile_m * tile_n * 2,
             stall_cycles: 0,
         };
-        profile.tbs.extend(std::iter::repeat_n(reduce, base_tbs));
+        profile.push_run(&[reduce], base_tbs);
     }
     let unique = ((m * k + k * n) * 2 * instances) as u64;
     apply_cache_model(

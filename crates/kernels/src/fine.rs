@@ -56,7 +56,20 @@ fn one_dim_launch() -> LaunchConfig {
 /// rows. Sliding-window patterns produce small footprints (L1-resident),
 /// scattered patterns produce operand-sized ones.
 pub fn fine_reuse_footprint(structure: &Csr<Half>, head_dim: usize, group: usize) -> u64 {
-    let rows = structure.rows();
+    sampled_reuse_footprint(structure.rows(), head_dim, group, |r| {
+        structure.col_indices()[structure.row_range(r)].to_vec()
+    })
+}
+
+/// [`fine_reuse_footprint`] over any row-column source: `row_columns(r)`
+/// gives row `r`'s column indices out of `rows`. Only the sampled rows
+/// are read.
+pub(crate) fn sampled_reuse_footprint(
+    rows: usize,
+    head_dim: usize,
+    group: usize,
+    row_columns: impl Fn(usize) -> Vec<usize>,
+) -> u64 {
     if rows == 0 {
         return 0;
     }
@@ -70,11 +83,7 @@ pub fn fine_reuse_footprint(structure: &Csr<Half>, head_dim: usize, group: usize
     let mut start = 0;
     while start < rows && samples < 8 {
         let mut cols: Vec<usize> = (0..group)
-            .map(|i| (start + i * stride) % rows)
-            .flat_map(|r| {
-                let range = structure.row_range(r);
-                structure.col_indices()[range].iter().copied()
-            })
+            .flat_map(|i| row_columns((start + i * stride) % rows))
             .collect();
         cols.sort_unstable();
         cols.dedup();
@@ -138,16 +147,7 @@ pub fn fine_sddmm_profile(
         FineSddmmScheme::RowSplit => row_split_launch(),
         FineSddmmScheme::OneDimTiling => one_dim_launch(),
     };
-    let mut tbs = Vec::new();
-    for _ in 0..dims.instances() {
-        tbs.extend_from_slice(&per_instance);
-    }
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch,
-        tbs,
-        cache: None,
-    };
+    let mut profile = KernelProfile::replicated(name, launch, per_instance, dims.instances());
     let unique = (2 * dims.operand_bytes() + structure.metadata_bytes()) * dims.instances() as u64;
     apply_cache_model(
         spec,
@@ -275,16 +275,8 @@ pub fn fine_spmm_profile(
             stall_cycles: tuning::FINE_STALL_CYCLES,
         }
     });
-    let mut tbs = Vec::new();
-    for _ in 0..dims.instances() {
-        tbs.extend_from_slice(&per_instance);
-    }
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch: row_split_launch(),
-        tbs,
-        cache: None,
-    };
+    let mut profile =
+        KernelProfile::replicated(name, row_split_launch(), per_instance, dims.instances());
     let unique = (dims.operand_bytes() + structure.value_bytes() + structure.metadata_bytes())
         * dims.instances() as u64;
     apply_cache_model(
@@ -546,8 +538,8 @@ mod tests {
             FineSddmmScheme::RowSplit,
             "sddmm",
         );
-        let max = p.tbs.iter().map(|t| t.cuda_flops).max().expect("non-empty");
-        let sum: u64 = p.tbs.iter().map(|t| t.cuda_flops).sum();
+        let max = p.blocks().map(|t| t.cuda_flops).max().expect("non-empty");
+        let sum = p.sum_blocks(|t| t.cuda_flops);
         let mean = sum / p.tb_count() as u64;
         assert!(max > 20 * mean, "skew: max {max} mean {mean}");
     }

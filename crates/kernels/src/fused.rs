@@ -22,7 +22,7 @@
 //! `exp(-inf − -inf)`.
 
 use crate::cache::{apply_cache_model, apply_writeback_filter, CacheHints};
-use crate::fine::fine_reuse_footprint;
+use crate::fine::sampled_reuse_footprint;
 use crate::{tuning, AttnDims};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_patterns::CompoundPattern;
@@ -334,18 +334,13 @@ pub fn fused_attention_profile(
         })
         .filter(|w| w.cuda_flops > 0)
         .collect();
-    let mut tbs = Vec::new();
-    for _ in 0..dims.instances() {
-        tbs.extend_from_slice(&per_instance);
-    }
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch,
-        tbs,
-        cache: None,
-    };
+    let mut profile = KernelProfile::replicated(name, launch, per_instance, dims.instances());
     let unique = 3 * dims.operand_bytes() * dims.instances() as u64;
-    let footprint = fine_reuse_footprint(&pattern.to_csr::<Half>(), dims.head_dim, 16) * 2;
+    // The fine kernels' footprint estimate over the pattern's own rows:
+    // only the sampled rows are rendered.
+    let footprint = sampled_reuse_footprint(pattern.seq_len(), dims.head_dim, 16, |r| {
+        pattern.row_columns(r)
+    }) * 2;
     apply_cache_model(
         spec,
         &mut profile,
@@ -531,7 +526,7 @@ mod tests {
         let dh = 16u64;
         let nnz = p.nnz() as u64;
         let per_element = 64 * dh * 2 + nnz * 2 * dh * 2 + nnz * 4;
-        let total_l2: u64 = prof.tbs.iter().map(|t| t.l2_read).sum();
+        let total_l2 = prof.sum_blocks(|t| t.l2_read);
         // One 64-row group touches only 64 distinct K/V rows but ~556
         // non-zeros: staging each distinct row once cuts the charged L2
         // traffic several-fold even after the cache model's adjustments.

@@ -37,7 +37,7 @@ pub fn merge_add_profile(
         smem_per_tb: 0,
     };
     let mut profile = KernelProfile::uniform(name, launch, tbs, work);
-    let raw: u64 = profile.tbs.iter().map(|t| t.l2_read).sum();
+    let raw = profile.sum_blocks(|t| t.l2_read);
     apply_cache_model(
         spec,
         &mut profile,

@@ -164,18 +164,10 @@ fn finish_softmax_profile(
     per_instance: Vec<TbWork>,
     name: &str,
 ) -> KernelProfile {
-    let mut tbs = Vec::new();
-    for _ in 0..dims.instances() {
-        tbs.extend_from_slice(&per_instance);
-    }
-    let mut profile = KernelProfile {
-        name: name.to_owned(),
-        launch: softmax_launch(),
-        tbs,
-        cache: None,
-    };
+    let mut profile =
+        KernelProfile::replicated(name, softmax_launch(), per_instance, dims.instances());
     // Softmax streams its input once; raw touches are nearly unique.
-    let raw: u64 = profile.tbs.iter().map(|t| t.l2_read).sum();
+    let raw = profile.sum_blocks(|t| t.l2_read);
     apply_cache_model(
         spec,
         &mut profile,

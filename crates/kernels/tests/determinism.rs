@@ -180,7 +180,7 @@ fn profile_builders_are_identical_across_thread_counts() {
         let par = build(threads);
         for (a, b) in serial.iter().zip(par.iter()) {
             assert_eq!(a.name, b.name);
-            assert_eq!(a.tbs, b.tbs, "profile {} threads={threads}", a.name);
+            assert_eq!(a, b, "profile {} threads={threads}", a.name);
         }
     }
 }

@@ -2,7 +2,10 @@
 //! random sliced patterns, SDDMM/SpMM against dense references, and
 //! profile invariants.
 
-use mg_gpusim::DeviceSpec;
+use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
+use mg_kernels::cache::{
+    apply_cache_model, apply_writeback_filter, reapply_cache_model, CacheHints,
+};
 use mg_kernels::{
     coarse_sddmm_compute, coarse_spmm_compute, compound_softmax_compute, fine_sddmm_compute,
     fine_sddmm_profile, fine_spmm_compute, AttnDims, FineSddmmScheme,
@@ -28,8 +31,66 @@ fn small_pattern() -> impl Strategy<Value = CompoundPattern> {
     })
 }
 
+/// Per-head grids: `(blocks, heads)` per kernel, raw loads and writes
+/// only (the cache model fills in `dram_read`).
+fn head_grids() -> impl Strategy<Value = Vec<(Vec<TbWork>, usize)>> {
+    let work = (0u64..1 << 20, 0u64..1 << 16).prop_map(|(l2_read, dram_write)| TbWork {
+        cuda_flops: 1 << 10,
+        l2_read,
+        dram_write,
+        ..TbWork::default()
+    });
+    proptest::collection::vec((proptest::collection::vec(work, 1..24), 1usize..16), 1..4)
+}
+
+/// Each grid filtered as one kernel, either run-compact or written out.
+fn filtered(spec: &DeviceSpec, grids: &[(Vec<TbWork>, usize)], compact: bool) -> KernelProfile {
+    let mut merged: Option<KernelProfile> = None;
+    for (i, (blocks, heads)) in grids.iter().enumerate() {
+        let mut p = if compact {
+            KernelProfile::replicated("k", LaunchConfig::default(), blocks.clone(), *heads)
+        } else {
+            let tbs = std::iter::repeat_n(blocks, *heads)
+                .flatten()
+                .copied()
+                .collect();
+            KernelProfile::replicated("k", LaunchConfig::default(), tbs, 1)
+        };
+        let unique = 1000 * (i as u64 + 1) * *heads as u64;
+        apply_cache_model(
+            spec,
+            &mut p,
+            CacheHints {
+                unique_bytes: unique,
+                reuse_footprint: unique / 2,
+            },
+        );
+        apply_writeback_filter(spec, &mut p);
+        match &mut merged {
+            Some(m) => m.extend_with(&p),
+            None => merged = Some(p),
+        }
+    }
+    merged.expect("at least one grid")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The cache model scales each stored block once: run-compact grids
+    /// filter, merge and re-filter to exactly the blocks and stats of the
+    /// written-out grids.
+    #[test]
+    fn cache_filters_agree_on_compact_and_expanded_grids(grids in head_grids()) {
+        for spec in [DeviceSpec::a100(), DeviceSpec::rtx3090()] {
+            let mut c = filtered(&spec, &grids, true);
+            let mut e = filtered(&spec, &grids, false);
+            prop_assert_eq!(&c, &e);
+            reapply_cache_model(&spec, &mut c);
+            reapply_cache_model(&spec, &mut e);
+            prop_assert_eq!(&c, &e);
+        }
+    }
 
     /// The compound softmax over any sliced pattern is row-stochastic on
     /// non-empty rows: probabilities sum to 1 and lie in [0, 1].
@@ -146,6 +207,6 @@ proptest! {
         prop_assert!(od.total().cuda_flops >= rs.total().cuda_flops - 4 * csr.nnz() as u64);
         // And both write the same payload.
         let rs_payload: u64 = csr.nnz() as u64 * 2;
-        prop_assert!(od.tbs.iter().map(|t| t.dram_write).sum::<u64>() <= rs_payload);
+        prop_assert!(od.sum_blocks(|t| t.dram_write) <= rs_payload);
     }
 }

@@ -233,8 +233,16 @@ impl CompoundPattern {
     /// Renders the whole pattern as an element-wise CSR structure (zero
     /// values) — what the fine-grained-only (Sputnik-style) baseline uses.
     pub fn to_csr<T: Scalar>(&self) -> Csr<T> {
-        Csr::from_coords(self.seq_len, self.seq_len, &self.coords())
-            .expect("compound coords are sorted, unique, and in bounds")
+        let mut row_offsets = Vec::with_capacity(self.seq_len + 1);
+        row_offsets.push(0);
+        let mut col_indices = Vec::new();
+        for r in 0..self.seq_len {
+            col_indices.extend(self.row_columns(r));
+            row_offsets.push(col_indices.len());
+        }
+        let values = vec![T::ZERO; col_indices.len()];
+        Csr::try_new(self.seq_len, self.seq_len, row_offsets, col_indices, values)
+            .expect("compound rows are sorted, unique, and in bounds")
     }
 
     /// Renders the whole pattern as a blocked BSR structure plus validity
@@ -243,10 +251,19 @@ impl CompoundPattern {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::BlockMisaligned`] if `seq_len` is not
-    /// divisible by `block_size`.
+    /// Returns [`SparseError::BlockMisaligned`] if `block_size` is zero or
+    /// does not divide `seq_len`.
     pub fn to_blocked(&self, block_size: usize) -> Result<BlockedPattern, SparseError> {
-        blocked_from_coords(self.seq_len, block_size, &self.coords())
+        let mut blocked = BlockedBuilder::new(self.seq_len, block_size)?;
+        let mut elements = Vec::new();
+        for br in 0..self.seq_len / block_size {
+            elements.clear();
+            for r in br * block_size..(br + 1) * block_size {
+                elements.extend(self.row_columns(r).into_iter().map(|c| (r, c)));
+            }
+            blocked.push_block_row(br, &elements);
+        }
+        blocked.finish()
     }
 
     /// A dense `seq_len × seq_len` attention mask: `0.0` on valid
@@ -262,38 +279,94 @@ impl CompoundPattern {
     }
 }
 
-/// Builds a [`BlockedPattern`] from element coordinates: every touched
-/// block is stored whole, and the mask flags the untouched slots.
-///
-/// # Errors
-///
-/// Returns [`SparseError::BlockMisaligned`] if `seq_len` is not divisible
-/// by `block_size`.
-pub(crate) fn blocked_from_coords(
+/// Builds a [`BlockedPattern`] one block row at a time: every block
+/// touched by an element is stored whole, and the mask flags the
+/// untouched slots. Blocks are numbered in row-major storage order from a
+/// dense per-block-column table, so no coordinate list is sorted or
+/// searched.
+pub(crate) struct BlockedBuilder {
     seq_len: usize,
     block_size: usize,
-    coords: &[(usize, usize)],
-) -> Result<BlockedPattern, SparseError> {
-    let mut block_coords: Vec<(usize, usize)> = coords
-        .iter()
-        .map(|&(r, c)| (r / block_size, c / block_size))
-        .collect();
-    block_coords.sort_unstable();
-    block_coords.dedup();
-    let structure = Bsr::<Half>::from_block_coords(seq_len, seq_len, block_size, &block_coords)?;
+    /// `(block_row, block_col)` of every stored block, in storage order.
+    block_coords: Vec<(usize, usize)>,
+    mask: Vec<f32>,
+    /// Storage index of each block column's block in the current block
+    /// row; `UNSET` between block rows.
+    slot: Vec<usize>,
+    /// Block columns touched in the current block row.
+    touched: Vec<usize>,
+}
 
-    // `block_coords` is sorted and deduplicated — storage order — so a
-    // binary search resolves each element's block index without a
-    // hash-ordered side table (mg-lint D1).
-    let sq = block_size * block_size;
-    let mut mask = vec![f32::NEG_INFINITY; structure.nnz_blocks() * sq];
-    for &(r, c) in coords {
-        let i = block_coords
-            .binary_search(&(r / block_size, c / block_size))
-            .expect("every coord's block is in block_coords");
-        mask[i * sq + (r % block_size) * block_size + (c % block_size)] = 0.0;
+impl BlockedBuilder {
+    const UNSET: usize = usize::MAX;
+
+    /// # Errors
+    ///
+    /// Returns [`SparseError::BlockMisaligned`] if `block_size` is zero or
+    /// does not divide `seq_len`.
+    pub(crate) fn new(seq_len: usize, block_size: usize) -> Result<BlockedBuilder, SparseError> {
+        // Checked before any division by the block size.
+        if block_size == 0 || !seq_len.is_multiple_of(block_size) {
+            return Err(SparseError::BlockMisaligned {
+                dim: seq_len,
+                block_size,
+            });
+        }
+        Ok(BlockedBuilder {
+            seq_len,
+            block_size,
+            block_coords: Vec::new(),
+            mask: Vec::new(),
+            slot: vec![Self::UNSET; seq_len / block_size],
+            touched: Vec::new(),
+        })
     }
-    Ok(BlockedPattern { structure, mask })
+
+    /// Stores the blocks of block row `br` that `elements` touch and marks
+    /// the elements valid. `elements` are `(row, col)` coordinates inside
+    /// the block row; block rows must be pushed in ascending order.
+    pub(crate) fn push_block_row(&mut self, br: usize, elements: &[(usize, usize)]) {
+        let b = self.block_size;
+        for &(_, c) in elements {
+            let bc = c / b;
+            if self.slot[bc] == Self::UNSET {
+                self.slot[bc] = 0;
+                self.touched.push(bc);
+            }
+        }
+        self.touched.sort_unstable();
+        for &bc in &self.touched {
+            self.slot[bc] = self.block_coords.len();
+            self.block_coords.push((br, bc));
+        }
+        let sq = b * b;
+        self.mask
+            .resize(self.block_coords.len() * sq, f32::NEG_INFINITY);
+        for &(r, c) in elements {
+            self.mask[self.slot[c / b] * sq + (r % b) * b + c % b] = 0.0;
+        }
+        for bc in self.touched.drain(..) {
+            self.slot[bc] = Self::UNSET;
+        }
+    }
+
+    /// Whether no block has been stored.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.block_coords.is_empty()
+    }
+
+    pub(crate) fn finish(self) -> Result<BlockedPattern, SparseError> {
+        let structure = Bsr::<Half>::from_block_coords(
+            self.seq_len,
+            self.seq_len,
+            self.block_size,
+            &self.block_coords,
+        )?;
+        Ok(BlockedPattern {
+            structure,
+            mask: self.mask,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -387,6 +460,14 @@ mod tests {
     fn misaligned_block_size_errors() {
         let p = sample();
         assert!(p.to_blocked(5).is_err());
+    }
+
+    #[test]
+    fn zero_block_size_is_a_typed_error() {
+        assert!(matches!(
+            sample().to_blocked(0),
+            Err(SparseError::BlockMisaligned { block_size: 0, .. })
+        ));
     }
 
     #[test]

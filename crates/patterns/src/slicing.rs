@@ -13,11 +13,10 @@
 //! 3. **Fine elements** — everything left: fine-grain-pattern elements
 //!    outside global rows and outside coarse blocks.
 
-use crate::compound::{blocked_from_coords, BlockedPattern};
+use crate::compound::{BlockedBuilder, BlockedPattern};
 use crate::{CompoundPattern, Grain};
 use mg_sparse::{Csr, SparseError};
 use mg_tensor::Half;
-use std::collections::HashSet;
 
 /// A compound pattern decomposed into the three kernel-facing parts.
 ///
@@ -50,70 +49,76 @@ impl SlicedPattern {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::BlockMisaligned`] if the sequence length is
-    /// not divisible by `block_size`.
+    /// Returns [`SparseError::BlockMisaligned`] if `block_size` is zero
+    /// or does not divide the sequence length.
     pub fn from_compound(
         pattern: &CompoundPattern,
         block_size: usize,
     ) -> Result<SlicedPattern, SparseError> {
-        if block_size == 0 || !pattern.seq_len().is_multiple_of(block_size) {
-            return Err(SparseError::BlockMisaligned {
-                dim: pattern.seq_len(),
-                block_size,
-            });
-        }
         let seq_len = pattern.seq_len();
+        let valid_len = pattern.valid_len();
+        let mut blocked = BlockedBuilder::new(seq_len, block_size)?;
         let global_rows = pattern.global_rows();
-        // mg-lint: allow(D1): membership-only set (contains), never iterated
-        let global_set: HashSet<usize> = global_rows.iter().copied().collect();
+        let mut is_global = vec![false; seq_len];
+        for &r in &global_rows {
+            is_global[r] = true;
+        }
+        let coarse_parts = pattern.parts_of_grain(Grain::Coarse);
 
-        // 1. Coarse part: blocks touched by coarse-grain parts, global rows
-        //    excluded. The blocks own every compound element inside them.
-        // mg-lint: allow(D1): membership-only set (insert/contains), never iterated
-        let mut coarse_blocks: HashSet<(usize, usize)> = HashSet::new();
-        for part in pattern.parts_of_grain(Grain::Coarse) {
-            for r in 0..pattern.valid_len() {
-                if global_set.contains(&r) {
-                    continue;
-                }
-                for c in part.row_columns(seq_len, r) {
-                    if c < pattern.valid_len() {
-                        coarse_blocks.insert((r / block_size, c / block_size));
+        // Block rows are independent, so the slice streams one block row
+        // at a time with a bitmap over its block columns.
+        let mut coarse_block = vec![false; seq_len / block_size];
+        let mut coarse_elements: Vec<(usize, usize)> = Vec::new();
+        let mut row_offsets = Vec::with_capacity(seq_len + 1);
+        row_offsets.push(0);
+        let mut fine_cols: Vec<usize> = Vec::new();
+        for br in 0..seq_len / block_size {
+            let rows = br * block_size..(br + 1) * block_size;
+            // 1. Coarse blocks: blocks touched by coarse-grain parts,
+            //    global rows excluded.
+            coarse_block.fill(false);
+            for part in &coarse_parts {
+                for r in rows.clone().filter(|&r| r < valid_len && !is_global[r]) {
+                    for c in part.row_columns(seq_len, r) {
+                        if c < valid_len {
+                            coarse_block[c / block_size] = true;
+                        }
                     }
                 }
             }
-        }
-
-        // Collect the compound elements owned by the coarse blocks (any
-        // grain — a fine element landing inside a stored block is owned by
-        // the block, per the overlap-invalidation rule) and the leftover
-        // fine elements.
-        let mut coarse_coords: Vec<(usize, usize)> = Vec::new();
-        let mut fine_coords: Vec<(usize, usize)> = Vec::new();
-        for r in 0..seq_len {
-            if global_set.contains(&r) {
-                continue; // rule 1: global rows own their whole row
-            }
-            for c in pattern.row_columns(r) {
-                if coarse_blocks.contains(&(r / block_size, c / block_size)) {
-                    coarse_coords.push((r, c));
-                } else {
-                    fine_coords.push((r, c));
+            // 2. The coarse blocks own every compound element inside them
+            //    (any grain — a fine element landing inside a stored block
+            //    is owned by the block, per the overlap-invalidation
+            //    rule); the leftover elements are fine. Global rows own
+            //    their whole row and appear in neither part.
+            coarse_elements.clear();
+            for r in rows {
+                if !is_global[r] {
+                    for c in pattern.row_columns(r) {
+                        if coarse_block[c / block_size] {
+                            coarse_elements.push((r, c));
+                        } else {
+                            fine_cols.push(c);
+                        }
+                    }
                 }
+                row_offsets.push(fine_cols.len());
             }
+            blocked.push_block_row(br, &coarse_elements);
         }
 
-        let coarse = if coarse_coords.is_empty() {
+        let coarse = if blocked.is_empty() {
             None
         } else {
-            Some(blocked_from_coords(seq_len, block_size, &coarse_coords)?)
+            Some(blocked.finish()?)
         };
-        let fine = if fine_coords.is_empty() {
+        let fine = if fine_cols.is_empty() {
             None
         } else {
+            let values = vec![Half::ZERO; fine_cols.len()];
             Some(
-                Csr::from_coords(seq_len, seq_len, &fine_coords)
-                    .expect("coords are sorted, unique, and in bounds"),
+                Csr::try_new(seq_len, seq_len, row_offsets, fine_cols, values)
+                    .expect("fine rows are sorted, unique, and in bounds"),
             )
         };
         Ok(SlicedPattern {
@@ -199,6 +204,7 @@ pub struct SliceStats {
 mod tests {
     use super::*;
     use crate::AtomicPattern;
+    use std::collections::HashSet;
 
     fn compound() -> CompoundPattern {
         CompoundPattern::new(32)
