@@ -351,18 +351,17 @@ impl DecodeSim {
         loop {
             // Globally earliest launch; ties break by worker index,
             // then (inside `select`) by session id. One total order.
-            let mut best: Option<(f64, usize)> = None;
+            let mut best: Option<(f64, usize, Action)> = None;
             for (w, worker) in pool.iter().enumerate() {
-                if let Some((start, _)) = self.select(&live, w, worker.free_s) {
-                    if best.is_none_or(|(s, _)| start < s) {
-                        best = Some((start, w));
+                if let Some((start, action)) = self.select(&live, w, worker.free_s) {
+                    if best.as_ref().is_none_or(|(s, _, _)| start < *s) {
+                        best = Some((start, w, action));
                     }
                 }
             }
-            let Some((start, w)) = best else { break };
-            let (_, action) = self
-                .select(&live, w, pool[w].free_s)
-                .expect("candidate vanished");
+            let Some((start, w, action)) = best else {
+                break;
+            };
             self.execute(&mut live, &mut pool[w], start, action, &mut report)?;
         }
 

@@ -21,8 +21,7 @@
 
 use crate::occupancy::{resident_tbs_per_sm, theoretical_occupancy};
 use crate::{DeviceSpec, KernelProfile};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 /// Which resource bounded a kernel's duration — the roofline verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,8 +102,27 @@ impl StreamId {
 /// The default stream, which always exists.
 pub const DEFAULT_STREAM: StreamId = StreamId(0);
 
+/// A grid's block times as `(stretches, repeat)` runs in dispatch order;
+/// each stretch `(t, k)` is `k` consecutive blocks of time `t`.
+type Runs = [(Vec<(f64, usize)>, usize)];
+
+/// A block schedule over runs and a slot count, returning the makespan
+/// and the summed block time.
+type Schedule = fn(&Runs, usize) -> (f64, f64);
+
 /// Duration and busy fraction of one kernel run on `sms` SMs.
 fn kernel_time_on(spec: &DeviceSpec, profile: &KernelProfile, sms: usize) -> (f64, f64, BoundKind) {
+    kernel_time_by(spec, profile, sms, list_schedule)
+}
+
+/// [`kernel_time_on`] with the block schedule as a parameter, so tests
+/// can time kernels under a reference schedule.
+fn kernel_time_by(
+    spec: &DeviceSpec,
+    profile: &KernelProfile,
+    sms: usize,
+    schedule: Schedule,
+) -> (f64, f64, BoundKind) {
     let sms = sms.max(1);
     let tb_count = profile.tb_count();
     if tb_count == 0 {
@@ -137,29 +155,12 @@ fn kernel_time_on(spec: &DeviceSpec, profile: &KernelProfile, sms: usize) -> (f6
         t_tensor.max(t_cuda).max(t_sfu).max(t_mem).max(t_l2) + t_stall + tb_overhead
     };
 
-    // Greedy list schedule: each block goes to the earliest-free slot.
-    // A run's blocks are timed once and replayed `repeat` times; the
-    // earliest-free slot is rescheduled in place, which leaves the same
-    // multiset of free times as a pop followed by a push.
-    let mut heap: BinaryHeap<Reverse<OrderedF64>> = (0..slots.min(tb_count))
-        .map(|_| Reverse(OrderedF64(0.0)))
+    // Each run's blocks are timed once, as stretches of equal time.
+    let runs: Vec<(Vec<(f64, usize)>, usize)> = profile
+        .runs()
+        .map(|(blocks, repeat)| (stretches(blocks.iter().map(&tb_time)), repeat))
         .collect();
-    let mut busy_total = 0.0;
-    let mut makespan = 0.0f64;
-    let mut times: Vec<f64> = Vec::new();
-    for (blocks, repeat) in profile.runs() {
-        times.clear();
-        times.extend(blocks.iter().map(&tb_time));
-        for _ in 0..repeat {
-            for &t in &times {
-                let mut slot = heap.peek_mut().expect("slots > 0");
-                let end = slot.0 .0 + t;
-                busy_total += t;
-                makespan = makespan.max(end);
-                *slot = Reverse(OrderedF64(end));
-            }
-        }
-    }
+    let (makespan, busy_total) = schedule(&runs, slots);
 
     // Aggregate rooflines over the allocation (bandwidth and pipes cannot
     // exceed the allocated share even with perfect balance).
@@ -204,6 +205,73 @@ fn kernel_time_on(spec: &DeviceSpec, profile: &KernelProfile, sms: usize) -> (f6
         1.0
     };
     (duration + spec.launch_overhead_s, busy_fraction, bound)
+}
+
+/// Run-length encodes block times into `(t, k)` stretches: `k`
+/// consecutive blocks of time `t`.
+fn stretches(times: impl IntoIterator<Item = f64>) -> Vec<(f64, usize)> {
+    let mut out: Vec<(f64, usize)> = Vec::new();
+    for t in times {
+        match out.last_mut() {
+            Some((last, k)) if last.to_bits() == t.to_bits() => *k += 1,
+            _ => out.push((t, 1)),
+        }
+    }
+    out
+}
+
+/// Greedy list schedule over `slots` slots: each block goes to the
+/// earliest-free slot (paper §2.1). Returns the makespan and the summed
+/// block time.
+///
+/// Free slots are grouped by the time they fall free. Block times are
+/// never negative, so a block sent to a slot free at `T` leaves the
+/// group's other slots the earliest-free: the next blocks of the same
+/// time go to them. A stretch of `k` blocks therefore takes
+/// `g = min(k, count)` slots from the earliest group at once and frees
+/// them all at `T + t`. This leaves the same multiset of free times, the
+/// same ends and the same makespan as `k` single dispatches.
+fn list_schedule(runs: &Runs, slots: usize) -> (f64, f64) {
+    let mut free: BTreeMap<OrderedF64, usize> = BTreeMap::from([(OrderedF64(0.0), slots)]);
+    let mut busy_total = 0.0;
+    let mut makespan = 0.0f64;
+    let mut dispatch = |t: f64, mut k: usize| {
+        while k > 0 {
+            let mut group = free.first_entry().expect("slots > 0");
+            let at = group.key().0;
+            let g = k.min(*group.get());
+            *group.get_mut() -= g;
+            if *group.get() == 0 {
+                group.remove();
+            }
+            let end = at + t;
+            *free.entry(OrderedF64(end)).or_insert(0) += g;
+            // Summed block by block in dispatch order: `t * g` would
+            // round differently.
+            for _ in 0..g {
+                busy_total += t;
+            }
+            makespan = makespan.max(end);
+            k -= g;
+        }
+    };
+    // Equal neighbours merge across stretch, repeat and run boundaries,
+    // so a replicated uniform grid dispatches as one stretch.
+    let mut pending = (0.0f64, 0usize);
+    for (run, repeat) in runs {
+        for _ in 0..*repeat {
+            for &(t, k) in run {
+                if t.to_bits() == pending.0.to_bits() {
+                    pending.1 += k;
+                } else {
+                    dispatch(pending.0, pending.1);
+                    pending = (t, k);
+                }
+            }
+        }
+    }
+    dispatch(pending.0, pending.1);
+    (makespan, busy_total)
 }
 
 /// Times one kernel running alone on the whole device, without touching
@@ -393,6 +461,10 @@ impl Gpu {
     /// `deps` to complete (CUDA events / `cudaStreamWaitEvent`). In-stream
     /// FIFO order still applies on top of the dependencies.
     ///
+    /// A dependency on a kernel that is no longer queued counts as
+    /// complete: one an earlier [`Gpu::synchronize`] retired, or one
+    /// [`Gpu::halt_at`] or [`Gpu::reset`] dropped.
+    ///
     /// # Panics
     ///
     /// Panics if `stream` was not created by this GPU.
@@ -430,8 +502,17 @@ impl Gpu {
         let mut active: Vec<Active> = Vec::new();
         // Drain queues front-first; keep cursor per queue.
         let mut cursors = vec![0usize; self.queues.len()];
-        // mg-lint: allow(D1): membership-only set (insert/contains), never iterated
-        let mut completed: std::collections::HashSet<KernelId> = std::collections::HashSet::new();
+        // Ids are dense and increase with every launch, and each queue
+        // holds its kernels in launch order. Every id below the smallest
+        // one still queued was retired or dropped before this call;
+        // this call's completions are tracked from that id on.
+        let first = self
+            .queues
+            .iter()
+            .filter_map(|q| q.first().map(|p| p.id.0))
+            .min()
+            .unwrap_or(self.next_id);
+        let mut completed = vec![false; self.next_id - first];
 
         loop {
             // Admit the head kernel of every stream that has none active
@@ -441,7 +522,9 @@ impl Gpu {
                 let has_active = active.iter().any(|a| a.queue == q);
                 if !has_active && cursors[q] < self.queues[q].len() {
                     let pending = &self.queues[q][cursors[q]];
-                    if pending.deps.iter().all(|d| completed.contains(d)) {
+                    let met =
+                        |d: &KernelId| d.0 < first || completed.get(d.0 - first) == Some(&true);
+                    if pending.deps.iter().all(met) {
                         active.push(Active {
                             queue: q,
                             share: 0,
@@ -509,7 +592,7 @@ impl Gpu {
             for &i in finished.iter().rev() {
                 let a = active.swap_remove(i);
                 let pending = &self.queues[a.queue][cursors[a.queue]];
-                completed.insert(pending.id);
+                completed[pending.id.0 - first] = true;
                 let p = &pending.profile;
                 self.records.push(KernelRecord {
                     name: p.name.clone(),
@@ -1035,5 +1118,188 @@ mod tests {
         gpu.reset();
         let t_cuda = gpu.run_solo(cuda).duration();
         assert!(t_tensor < t_cuda, "tensor {t_tensor} vs cuda {t_cuda}");
+    }
+
+    #[test]
+    fn dependency_on_a_kernel_retired_by_an_earlier_synchronize_is_met() {
+        let mut gpu = Gpu::new(DeviceSpec::a100());
+        let s1 = gpu.create_stream();
+        let a = gpu.launch(DEFAULT_STREAM, uniform("a", 64, 1 << 20));
+        gpu.synchronize();
+        let a_end = gpu.records()[0].end;
+        gpu.launch_after(s1, uniform("b", 64, 1 << 20), &[a]);
+        gpu.synchronize();
+        let b = gpu.records().last().expect("b ran");
+        assert_eq!(b.name, "b");
+        assert!(b.start >= a_end);
+        // The same holds for a dependency that a halt dropped.
+        let dropped = gpu.launch(DEFAULT_STREAM, uniform("dropped", 64, 1 << 20));
+        gpu.halt_at(gpu.elapsed());
+        gpu.launch_after(s1, uniform("c", 64, 1 << 20), &[dropped]);
+        gpu.synchronize();
+        assert_eq!(gpu.records().last().expect("c ran").name, "c");
+    }
+
+    /// The per-block heap schedule the grouped one replaced, kept
+    /// verbatim as the reference it must match bit for bit.
+    fn heap_schedule(runs: &Runs, slots: usize) -> (f64, f64) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let tb_count = runs
+            .iter()
+            .map(|(run, repeat)| run.iter().map(|&(_, k)| k).sum::<usize>() * repeat)
+            .sum();
+        let mut heap: BinaryHeap<Reverse<OrderedF64>> = (0..slots.min(tb_count))
+            .map(|_| Reverse(OrderedF64(0.0)))
+            .collect();
+        let mut busy_total = 0.0;
+        let mut makespan = 0.0f64;
+        for (run, repeat) in runs {
+            let times: Vec<f64> = run
+                .iter()
+                .flat_map(|&(t, k)| std::iter::repeat_n(t, k))
+                .collect();
+            for _ in 0..*repeat {
+                for &t in &times {
+                    let mut slot = heap.peek_mut().expect("slots > 0");
+                    let end = slot.0 .0 + t;
+                    busy_total += t;
+                    makespan = makespan.max(end);
+                    *slot = Reverse(OrderedF64(end));
+                }
+            }
+        }
+        (makespan, busy_total)
+    }
+
+    mod grouped_schedule {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A block time: mostly from a small palette (zero included), so
+        /// ties and long stretches are common; sometimes arbitrary.
+        fn arb_time() -> impl Strategy<Value = f64> {
+            (0usize..6, 0.0f64..1e-4)
+                .prop_map(|(i, t)| [0.0, 1.5e-6, 2.0e-6, 7.25e-6].get(i).copied().unwrap_or(t))
+        }
+
+        /// `(stretches, repeat)` runs of 1–12 blocks per stretch and a
+        /// repeat of 1–16.
+        fn arb_runs() -> impl Strategy<Value = Vec<(Vec<(f64, usize)>, usize)>> {
+            let run = collection::vec((arb_time(), 1usize..13), 1..8);
+            collection::vec((run, 1usize..=16), 1..5)
+        }
+
+        fn arb_work() -> impl Strategy<Value = TbWork> {
+            let palette = [
+                TbWork::default(),
+                compute_tb(1 << 16),
+                TbWork {
+                    tensor_macs: 1 << 20,
+                    l2_read: 1 << 14,
+                    dram_read: 1 << 12,
+                    ..TbWork::default()
+                },
+            ];
+            (
+                0usize..4,
+                (0u64..1 << 22, 0u64..1 << 22, 0u64..1 << 16, 0u64..1 << 12),
+            )
+                .prop_map(move |(i, (tensor, cuda, bytes, stall))| {
+                    palette.get(i).copied().unwrap_or(TbWork {
+                        tensor_macs: tensor,
+                        cuda_flops: cuda,
+                        sfu_ops: cuda / 64,
+                        l2_read: bytes,
+                        dram_read: bytes / 2,
+                        dram_write: bytes / 4,
+                        stall_cycles: stall,
+                    })
+                })
+        }
+
+        fn arb_profile() -> impl Strategy<Value = KernelProfile> {
+            let run = (collection::vec((arb_work(), 1usize..40), 1..6), 1usize..=16);
+            (collection::vec(run, 0..4), 1usize..9).prop_map(|(runs, warps)| {
+                let launch = LaunchConfig {
+                    threads_per_tb: warps * 32,
+                    ..LaunchConfig::default()
+                };
+                let mut p = KernelProfile::new("k", launch);
+                for (stretches, repeat) in runs {
+                    let blocks: Vec<TbWork> = stretches
+                        .into_iter()
+                        .flat_map(|(w, k)| std::iter::repeat_n(w, k))
+                        .collect();
+                    p.push_run(&blocks, repeat);
+                }
+                p
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Stretch-encoded grouped dispatch gives the per-block heap's
+            /// makespan and busy total, bit for bit, with ties or with
+            /// all-distinct times, and from one slot to more slots than
+            /// blocks.
+            #[test]
+            fn grouped_schedule_matches_per_block_heap(
+                runs in arb_runs(),
+                distinct in any::<bool>(),
+                slot_draw in 0usize..1 << 16,
+            ) {
+                // Each run's block times, one by one.
+                let times: Vec<(Vec<f64>, usize)> = runs
+                    .iter()
+                    .map(|(run, repeat)| {
+                        let times = run.iter().flat_map(|&(t, k)| std::iter::repeat_n(t, k));
+                        let times = times
+                            .enumerate()
+                            .map(|(i, t)| if distinct { t + i as f64 * 1e-9 } else { t })
+                            .collect();
+                        (times, *repeat)
+                    })
+                    .collect();
+                let tb_count: usize = times.iter().map(|(t, r)| t.len() * r).sum();
+                let slots = 1 + slot_draw % (tb_count + 4);
+                let encoded: Vec<(Vec<(f64, usize)>, usize)> = times
+                    .iter()
+                    .map(|(times, repeat)| (stretches(times.iter().copied()), *repeat))
+                    .collect();
+                let per_block: Vec<(Vec<(f64, usize)>, usize)> = times
+                    .iter()
+                    .map(|(times, repeat)| (times.iter().map(|&t| (t, 1)).collect(), *repeat))
+                    .collect();
+                let (makespan, busy) = list_schedule(&encoded, slots);
+                let (ref_makespan, ref_busy) = heap_schedule(&per_block, slots);
+                prop_assert_eq!(makespan.to_bits(), ref_makespan.to_bits());
+                prop_assert_eq!(busy.to_bits(), ref_busy.to_bits());
+            }
+
+            /// Kernel timing under the grouped schedule equals timing
+            /// under the per-block heap, solo and at any SM share.
+            #[test]
+            fn grouped_schedule_times_kernels_like_the_heap(
+                p in arb_profile(),
+                sms in 1usize..=108,
+            ) {
+                for spec in [DeviceSpec::a100(), DeviceSpec::rtx3090()] {
+                    let sms = sms.min(spec.sm_count);
+                    let (d, busy, bound) = kernel_time_on(&spec, &p, sms);
+                    let (rd, rbusy, rbound) = kernel_time_by(&spec, &p, sms, heap_schedule);
+                    prop_assert_eq!(d.to_bits(), rd.to_bits());
+                    prop_assert_eq!(busy.to_bits(), rbusy.to_bits());
+                    prop_assert_eq!(bound, rbound);
+                    let rec = time_kernel(&spec, &p);
+                    let (rd, rbusy, rbound) =
+                        kernel_time_by(&spec, &p, spec.sm_count, heap_schedule);
+                    prop_assert_eq!(rec.end.to_bits(), rd.to_bits());
+                    prop_assert_eq!(rec.achieved_over_theoretical.to_bits(), rbusy.to_bits());
+                    prop_assert_eq!(rec.bound, rbound);
+                }
+            }
+        }
     }
 }
