@@ -710,22 +710,21 @@ impl Attention {
         // into the context.
         let global = sliced.global_rows();
         if !global.is_empty() {
-            let q_rows = Matrix::from_fn(global.len(), q.cols(), |i, j| q.get(global[i], j));
+            let mut q_rows = Matrix::zeros(global.len(), q.cols());
+            for (i, &r) in global.iter().enumerate() {
+                q_rows.row_mut(i).copy_from_slice(q.row(r));
+            }
             let mut s_g = dense_sddmm_compute(&q_rows, k);
             // Padded key columns must not enter the softmax: a global row
             // attends every *valid* token, not the zero padding.
             let valid = self.problem.pattern().valid_len();
-            for r in 0..s_g.rows() {
-                for c in valid..s_g.cols() {
-                    s_g.set(r, c, mg_tensor::Half::NEG_INFINITY);
-                }
+            for i in 0..s_g.rows() {
+                s_g.row_mut(i)[valid..].fill(Half::NEG_INFINITY);
             }
             let p_g = dense_softmax_compute(&s_g, scale);
             let c_g = dense_spmm_compute(&p_g, v);
             for (i, &r) in global.iter().enumerate() {
-                for j in 0..context.cols() {
-                    context.set(r, j, c_g.get(i, j));
-                }
+                context.row_mut(r).copy_from_slice(c_g.row(i));
             }
         }
         context

@@ -17,7 +17,9 @@ use crate::cache::{apply_cache_model, apply_writeback_filter, CacheHints};
 use crate::{tuning, AttnDims};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_sparse::Bsr;
-use mg_tensor::{pack::Panel, par, Half, Matrix, NR};
+use mg_tensor::pack::{self, Panel, SlabPanel};
+use mg_tensor::simd::SPAN;
+use mg_tensor::{mul_row_slab2, par, scratch, Half, Matrix};
 
 /// Thread-block mapping for the coarse kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +106,16 @@ pub fn coarse_sddmm_profile(
 /// FP32 accumulation, rounded to FP16) — including elements at invalid
 /// positions, which is exactly the coarse method's wasted work.
 ///
+/// The kernel is the dense GEMM's slab microkernel applied per stored
+/// block: `Kᵀ` is packed once into [`SlabPanel`] column slabs, and each
+/// pair of block rows runs over the slabs that cover the block's columns
+/// through [`mul_row_slab2`], every score accumulating its products in
+/// ascending-d order from the `-0.0` seed of [`mg_tensor::dot`]'s `Sum`
+/// fold. A slab only partly inside the block (blocks narrower than or
+/// straddling a [`SPAN`]-wide slab) is computed whole and the block's
+/// part kept; the lanes are independent sums, so the extra columns
+/// change no bit of the kept ones.
+///
 /// # Panics
 ///
 /// Panics if `q`/`k` dimensions disagree with the structure.
@@ -116,61 +128,44 @@ pub fn coarse_sddmm_compute(
     assert_eq!(k.rows(), structure.cols(), "K rows mismatch");
     assert_eq!(q.cols(), k.cols(), "head dimension mismatch");
     let b = structure.block_size();
-    let sq = b * b;
-    // Q and K staged as f32 panels once per invocation (shared-memory
-    // analogue); decode is exact so scores are bit-identical. K is packed
-    // transposed (d-major), so a block's NR adjacent columns sit in one
-    // contiguous slice per d step instead of NR strided rows.
+    // Q and Kᵀ staged as f32 once per invocation (shared-memory
+    // analogue); decode is exact so scores are bit-identical.
     let q_panel = Panel::from_matrix(q);
-    let kt_panel = Panel::from_matrix_transposed(k);
-    let n = k.rows();
+    let kt = SlabPanel::from_matrix_transposed(k);
     // Stored blocks are independent: map block index -> owning block row
     // once, then fill each block's contiguous value slice in parallel.
     let block_rows_of: Vec<usize> = (0..structure.block_rows())
         .flat_map(|br| structure.block_row_range(br).map(move |_| br))
         .collect();
     let mut out = structure.clone();
-    par::for_each_chunk_mut(out.values_mut(), sq, |i, blk| {
-        let br = block_rows_of[i];
-        let bc = structure.block_col_indices()[i];
-        let kt = kt_panel.as_slice();
-        for r in 0..b {
-            let q_row = q_panel.row(br * b + r);
-            // NR-wide register blocks over the block's columns: the NR
-            // accumulator chains are independent, so they vectorize and
-            // pipeline, while each score still sums its products in
-            // ascending-d order with the -0.0 seed `dot`'s `Sum` fold
-            // uses — bit-identical to per-element dots.
-            let mut c0 = 0;
-            while c0 < b {
-                let cw = NR.min(b - c0);
-                let base = bc * b + c0;
-                let mut regs = [-0.0f32; NR];
-                if cw == NR {
-                    for (d, &qv) in q_row.iter().enumerate() {
-                        let k_blk: &[f32; NR] = kt[d * n + base..d * n + base + NR]
-                            .try_into()
-                            .expect("full register block");
-                        for (reg, &kv) in regs.iter_mut().zip(k_blk) {
-                            *reg += qv * kv;
-                        }
-                    }
-                } else {
-                    for (d, &qv) in q_row.iter().enumerate() {
-                        let k_blk = &kt[d * n + base..d * n + base + cw];
-                        for (reg, &kv) in regs[..cw].iter_mut().zip(k_blk.iter()) {
-                            *reg += qv * kv;
-                        }
-                    }
+    par::for_each_chunk_mut(out.values_mut(), b * b, |i, blk| {
+        let q_row = |r: usize| q_panel.row(block_rows_of[i] * b + r);
+        let c_lo = structure.block_col_indices()[i] * b;
+        let mut spans = [[0.0f32; SPAN]; 2];
+        let mut r = 0;
+        while r < b {
+            // Row pairs share each slab load; an odd last row pairs with
+            // itself and its duplicate result is dropped.
+            let r1 = (r + 1).min(b - 1);
+            let mut c = c_lo;
+            while c < c_lo + b {
+                let (j0, w, bp) = kt.slab(c / SPAN);
+                let cw = (j0 + w).min(c_lo + b) - c;
+                let [s0, s1] = &mut spans;
+                mul_row_slab2(
+                    [q_row(r), q_row(r1)],
+                    bp,
+                    -0.0,
+                    [&mut s0[..w], &mut s1[..w]],
+                );
+                let (lo, off) = (c - j0, c - c_lo);
+                pack::encode_slice(&s0[lo..lo + cw], &mut blk[r * b + off..r * b + off + cw]);
+                if r1 > r {
+                    pack::encode_slice(&s1[lo..lo + cw], &mut blk[r1 * b + off..r1 * b + off + cw]);
                 }
-                for (slot, &v) in blk[r * b + c0..r * b + c0 + cw]
-                    .iter_mut()
-                    .zip(regs[..cw].iter())
-                {
-                    *slot = Half::from_f32(v);
-                }
-                c0 += cw;
+                c += cw;
             }
+            r += 2;
         }
     });
     out
@@ -250,12 +245,11 @@ pub fn coarse_spmm_compute(p: &Bsr<Half>, v: &Matrix<Half>) -> Matrix<Half> {
     assert_eq!(v.rows(), p.cols(), "V rows mismatch");
     let b = p.block_size();
     let dh = v.cols();
-    // Stage V as an f32 panel once. P is deliberately NOT pre-decoded:
-    // masked positions make most block elements exactly zero after the
-    // compound softmax, and the zero test below skips them before their
-    // value is ever needed — a staged P panel would pay a full decode
-    // pass (plus the panel's memory traffic) for elements the loop then
-    // discards. Each surviving element is decoded exactly once.
+    // Stage V as an f32 panel once. P is not staged as a whole: each
+    // block row segment is decoded once (one `decode_slice` of `b`
+    // elements) right before its zero test, and masked positions —
+    // most block elements after the compound softmax — are skipped
+    // before their V row is touched.
     let v_panel = Panel::from_matrix(v);
     let sq = b * b;
     let mut acc = Matrix::<f32>::zeros(p.rows(), dh);
@@ -264,14 +258,14 @@ pub fn coarse_spmm_compute(p: &Bsr<Half>, v: &Matrix<Half>) -> Matrix<Half> {
     // ascending block-column order — the same order the serial sweep used,
     // keeping results bit-identical.
     par::for_each_chunk_mut(acc.as_mut_slice(), b * dh, |br, out_rows| {
+        let mut p_row = scratch::take_zeroed(b);
         for i in p.block_row_range(br) {
             let bc = p.block_col_indices()[i];
             let elems = &p.values()[i * sq..(i + 1) * sq];
             for r in 0..b {
                 let out_row = &mut out_rows[r * dh..(r + 1) * dh];
-                for c in 0..b {
-                    // mg-lint: allow(P1): one decode per surviving element; a staged panel would decode the skipped zeros too
-                    let pv = elems[r * b + c].to_f32();
+                pack::decode_slice(&elems[r * b..(r + 1) * b], &mut p_row);
+                for (c, &pv) in p_row.iter().enumerate() {
                     // Post-softmax values are finite; zero-skipping is
                     // safe here (cannot hide a NaN/Inf product).
                     if pv == 0.0 {

@@ -17,7 +17,8 @@ use crate::cache::{apply_cache_model, apply_writeback_filter, CacheHints};
 use crate::{tuning, AttnDims};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_sparse::Csr;
-use mg_tensor::{dot_f32, dot_rows_block, dot_rows_run, pack::Panel, par, Half, Matrix, NR};
+use mg_tensor::pack::{self, Panel};
+use mg_tensor::{dot_f32, dot_rows_block, dot_rows_run, par, scratch, Half, Matrix, NR};
 
 /// Output mapping of the fine SDDMM kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,47 +208,45 @@ pub fn fine_sddmm_compute(q: &Matrix<Half>, k: &Matrix<Half>, structure: &Csr<Ha
         })
         .collect();
     par::for_each_part_mut(out.values_mut(), &bounds, |r, vals| {
-        let base = bounds[r];
+        let cols = &structure.col_indices()[bounds[r]..bounds[r + 1]];
         let q_row = q_panel.row(r);
+        // The row's scores are staged in f32 and rounded with one encode.
+        let mut scores = scratch::take_zeroed(vals.len());
         if vals.len() < FINE_SDDMM_DIRECT_NNZ {
             // Short row: direct per-element dots over the staged panels
             // (see `FINE_SDDMM_DIRECT_NNZ`); bit-identical to the chunked
             // routing below.
-            for (slot, &c) in vals.iter_mut().zip(structure.col_indices()[base..].iter()) {
-                *slot = Half::from_f32(dot_f32(q_row, k_panel.row(c)));
+            for (slot, &c) in scores.iter_mut().zip(cols) {
+                *slot = dot_f32(q_row, k_panel.row(c));
             }
-            return;
-        }
-        // NR-wide register blocks over the row's non-zeros through the
-        // shared gathered-row microkernel: the NR accumulator chains
-        // interleave and pipeline, while each stored element still sums
-        // its products in ascending-d order with the -0.0 seed `dot`'s
-        // `Sum` fold uses — bit-identical to dotting the FP16 rows one
-        // non-zero at a time.
-        let mut o0 = 0;
-        while o0 < vals.len() {
-            let ow = NR.min(vals.len() - o0);
-            let cols = &structure.col_indices()[base + o0..base + o0 + ow];
-            // CSR columns are sorted, so a chunk is a consecutive run iff
-            // its endpoints are `ow - 1` apart — those runs stream the
-            // d-major panel with contiguous loads; everything else takes
-            // the gathered-row path. Both microkernels accumulate in
-            // ascending-d order from the -0.0 seed, so the routing choice
-            // never changes a bit of the output.
-            let regs = if cols[ow - 1] == cols[0] + ow - 1 {
-                dot_rows_run(q_row, &k_t, cols[0], ow)
-            } else {
-                let mut k_rows: [&[f32]; NR] = [&[]; NR];
-                for (oo, row) in k_rows[..ow].iter_mut().enumerate() {
-                    *row = k_panel.row(cols[oo]);
-                }
-                dot_rows_block(q_row, &k_rows, ow)
-            };
-            for (slot, &v) in vals[o0..o0 + ow].iter_mut().zip(regs[..ow].iter()) {
-                *slot = Half::from_f32(v);
+        } else {
+            // NR-wide register blocks over the row's non-zeros through the
+            // shared gathered-row microkernel: the NR accumulator chains
+            // interleave and pipeline, while each stored element still
+            // sums its products in ascending-d order with the -0.0 seed
+            // `dot`'s `Sum` fold uses — bit-identical to dotting the FP16
+            // rows one non-zero at a time.
+            for (chunk, slots) in cols.chunks(NR).zip(scores.chunks_mut(NR)) {
+                let ow = chunk.len();
+                // CSR columns are sorted, so a chunk is a consecutive run
+                // iff its endpoints are `ow - 1` apart — those runs stream
+                // the d-major panel with contiguous loads; everything else
+                // takes the gathered-row path. Both microkernels
+                // accumulate in ascending-d order from the -0.0 seed, so
+                // the routing choice never changes a bit of the output.
+                let regs = if chunk[ow - 1] == chunk[0] + ow - 1 {
+                    dot_rows_run(q_row, &k_t, chunk[0], ow)
+                } else {
+                    let mut k_rows: [&[f32]; NR] = [&[]; NR];
+                    for (row, &c) in k_rows.iter_mut().zip(chunk) {
+                        *row = k_panel.row(c);
+                    }
+                    dot_rows_block(q_row, &k_rows, ow)
+                };
+                slots.copy_from_slice(&regs[..ow]);
             }
-            o0 += ow;
         }
+        pack::encode_slice(&scores, vals);
     });
     out
 }

@@ -30,6 +30,8 @@ mod ell;
 pub mod fine;
 pub mod fused;
 mod merge;
+#[cfg(test)]
+mod reference;
 mod softmax;
 mod structured;
 

@@ -5,7 +5,7 @@
 
 use crate::cache::{apply_cache_model, apply_writeback_filter, CacheHints};
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
-use mg_tensor::{Half, Matrix};
+use mg_tensor::{pack, par, scratch, Half, Matrix};
 
 /// Elements processed per thread block of the merge kernel.
 const MERGE_TILE: usize = 8 * 1024;
@@ -53,16 +53,38 @@ pub fn merge_add_profile(
 /// Functionally merges partial contexts by element-wise addition,
 /// accumulating in FP32.
 ///
+/// Row by row: each part's row is decoded once and added into an f32 row
+/// seeded with `-0.0`, the seed of the `Sum` fold a per-element
+/// `parts.iter().sum()` uses, in part order; the row is then rounded
+/// with one [`pack::encode_slice`].
+///
 /// # Panics
 ///
 /// Panics if the parts have different shapes or `parts` is empty.
 pub fn merge_add_compute(parts: &[&Matrix<Half>]) -> Matrix<Half> {
     assert!(!parts.is_empty(), "need at least one partial context");
     let (rows, cols) = (parts[0].rows(), parts[0].cols());
-    Matrix::from_fn(rows, cols, |r, c| {
-        let sum: f32 = parts.iter().map(|m| m.get(r, c).to_f32()).sum();
-        Half::from_f32(sum)
-    })
+    for m in parts {
+        assert_eq!(
+            (m.rows(), m.cols()),
+            (rows, cols),
+            "partial context shape mismatch"
+        );
+    }
+    let mut out = Matrix::<Half>::zeros(rows, cols);
+    par::for_each_chunk_mut(out.as_mut_slice(), cols, |r, out_row| {
+        let mut acc = scratch::take_zeroed(cols);
+        let mut row = scratch::take_zeroed(cols);
+        acc.fill(-0.0);
+        for m in parts {
+            pack::decode_slice(m.row(r), &mut row);
+            for (a, &v) in acc.iter_mut().zip(row.iter()) {
+                *a += v;
+            }
+        }
+        pack::encode_slice(&acc, out_row);
+    });
+    out
 }
 
 #[cfg(test)]
@@ -78,6 +100,31 @@ mod tests {
             for c in 0..4 {
                 let expect = Half::from_f32(a.get(r, c).to_f32() + b.get(r, c).to_f32());
                 assert_eq!(m.get(r, c), expect);
+            }
+        }
+    }
+
+    #[test]
+    fn row_merge_matches_per_element_sum_bitwise() {
+        // Signed zeros, infinities, NaN payloads and subnormals: the row
+        // merge must reproduce the per-element `Sum` fold bit for bit,
+        // for one, two and three parts.
+        let specials = [
+            0x0000u16, 0x8000, 0x7C00, 0xFC00, 0x7E01, 0xFE02, 0x0001, 0x83FF, 0x3C00,
+        ];
+        let part = |shift: usize| {
+            Matrix::from_fn(3, 9, |r, c| {
+                Half::from_bits(specials[(r * 9 + c + shift) % 9])
+            })
+        };
+        let (a, b, c) = (part(0), part(4), part(7));
+        for parts in [vec![&a], vec![&a, &b], vec![&a, &b, &c]] {
+            let m = merge_add_compute(&parts);
+            for r in 0..3 {
+                for col in 0..9 {
+                    let sum: f32 = parts.iter().map(|p| p.get(r, col).to_f32()).sum();
+                    assert_eq!(m.get(r, col).to_bits(), Half::from_f32(sum).to_bits());
+                }
             }
         }
     }

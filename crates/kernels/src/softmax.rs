@@ -19,7 +19,7 @@ use crate::AttnDims;
 use mg_gpusim::{DeviceSpec, KernelProfile, LaunchConfig, TbWork};
 use mg_patterns::BlockedPattern;
 use mg_sparse::{Bsr, Csr};
-use mg_tensor::{par, Half, Matrix};
+use mg_tensor::{pack, par, scratch, Half, Matrix};
 
 fn softmax_launch() -> LaunchConfig {
     LaunchConfig {
@@ -187,6 +187,14 @@ fn finish_softmax_profile(
 /// Both parts participate in the *same* row-wise normalization — the
 /// correctness property §3.3 is about.
 ///
+/// Each row is read once: its block-row segments and CSR values are
+/// decoded a segment at a time, the scaled valid values gathered into a
+/// row buffer, and the mask read once into per-element validity flags.
+/// The three safe-softmax steps then run over that buffer in the
+/// original element order (coarse blocks in storage order, then the CSR
+/// row), with one `exp` per valid element kept for the normalize step.
+/// Every segment is written back with one [`pack::encode_slice`].
+///
 /// # Panics
 ///
 /// Panics if the parts' row counts disagree, or the mask length does not
@@ -240,151 +248,144 @@ pub fn compound_softmax_compute(
         })
         .unwrap_or_default();
 
-    let group_rows = |g: usize| (g * block)..((g + 1) * block).min(rows);
+    let group = |g: usize, cvals: Option<&mut [Half]>, fvals: Option<&mut [Half]>| {
+        let coarse = coarse.zip(cvals).map(|((bsr, mask), vals)| CoarseRows {
+            bsr,
+            mask,
+            vals,
+            first_block: coarse_bounds[g] / sq,
+        });
+        let fine = fine.zip(fvals).map(|(csr, vals)| FineRows {
+            csr,
+            vals,
+            base: fine_bounds[g],
+        });
+        let group_rows = (g * block)..((g + 1) * block).min(rows);
+        softmax_group(coarse, fine, group_rows, block, scale);
+    };
     match (&mut coarse_out, &mut fine_out) {
-        (Some(co), Some(fo)) => {
-            par::for_each_part_mut2(
-                co.values_mut(),
-                &coarse_bounds,
-                fo.values_mut(),
-                &fine_bounds,
-                |g, cvals, fvals| {
-                    for r in group_rows(g) {
-                        softmax_one_row(
-                            coarse,
-                            fine,
-                            Some((cvals, coarse_bounds[g] / sq)),
-                            Some((fvals, fine_bounds[g])),
-                            r,
-                            block,
-                            scale,
-                        );
-                    }
-                },
-            );
-        }
-        (Some(co), None) => {
-            par::for_each_part_mut(co.values_mut(), &coarse_bounds, |g, cvals| {
-                for r in group_rows(g) {
-                    softmax_one_row(
-                        coarse,
-                        fine,
-                        Some((cvals, coarse_bounds[g] / sq)),
-                        None,
-                        r,
-                        block,
-                        scale,
-                    );
-                }
-            });
-        }
-        (None, Some(fo)) => {
-            par::for_each_part_mut(fo.values_mut(), &fine_bounds, |g, fvals| {
-                for r in group_rows(g) {
-                    softmax_one_row(
-                        coarse,
-                        fine,
-                        None,
-                        Some((fvals, fine_bounds[g])),
-                        r,
-                        block,
-                        scale,
-                    );
-                }
-            });
-        }
+        (Some(co), Some(fo)) => par::for_each_part_mut2(
+            co.values_mut(),
+            &coarse_bounds,
+            fo.values_mut(),
+            &fine_bounds,
+            |g, cvals, fvals| group(g, Some(cvals), Some(fvals)),
+        ),
+        (Some(co), None) => par::for_each_part_mut(co.values_mut(), &coarse_bounds, |g, cvals| {
+            group(g, Some(cvals), None)
+        }),
+        (None, Some(fo)) => par::for_each_part_mut(fo.values_mut(), &fine_bounds, |g, fvals| {
+            group(g, None, Some(fvals))
+        }),
         (None, None) => {}
     }
     (coarse_out, fine_out)
 }
 
-/// Runs the three safe-softmax passes over one row, writing the results
-/// into the caller's slices of the output value storage.
-///
-/// `coarse_vals` is `(group's block values, index of the group's first
-/// stored block)`; `fine_vals` is `(group's CSR values, index of the
-/// group's first stored element)`.
-fn softmax_one_row(
-    coarse: Option<(&Bsr<Half>, &[f32])>,
-    fine: Option<&Csr<Half>>,
-    coarse_vals: Option<(&mut [Half], usize)>,
-    fine_vals: Option<(&mut [Half], usize)>,
-    r: usize,
+/// A block-row group's coarse part: the input blocks and mask, and the
+/// group's slice of the output block storage starting at stored block
+/// `first_block`.
+struct CoarseRows<'a> {
+    bsr: &'a Bsr<Half>,
+    mask: &'a [f32],
+    vals: &'a mut [Half],
+    first_block: usize,
+}
+
+/// A block-row group's fine part: the input CSR and the group's slice of
+/// the output values starting at stored element `base`.
+struct FineRows<'a> {
+    csr: &'a Csr<Half>,
+    vals: &'a mut [Half],
+    base: usize,
+}
+
+/// Runs the safe softmax over every row of one block-row group, writing
+/// into the group's slices of the output storage. The row buffers are
+/// taken once per group and reused row to row.
+fn softmax_group(
+    mut coarse: Option<CoarseRows<'_>>,
+    mut fine: Option<FineRows<'_>>,
+    rows: std::ops::Range<usize>,
     block: usize,
     scale: f32,
 ) {
-    // Pass 1: max over valid elements of the row.
-    let mut max = f32::NEG_INFINITY;
-    for_each_row_element(coarse, fine, r, block, |v, valid| {
-        if valid {
-            max = max.max(v * scale);
-        }
-    });
-    // Pass 2: exponential sum.
-    let mut sum = 0.0f32;
-    for_each_row_element(coarse, fine, r, block, |v, valid| {
-        if valid {
-            sum += (v * scale - max).exp();
-        }
-    });
-    let inv = if sum > 0.0 { 1.0 / sum } else { 0.0 };
-    // Pass 3: normalize and write back.
-    let sq = block * block;
-    if let (Some((bsr, mask)), Some((vals, first_block))) = (coarse, coarse_vals) {
-        let br = r / block;
-        let lr = r % block;
-        for i in bsr.block_row_range(br) {
-            let src = bsr.block(i);
-            for lc in 0..block {
-                let valid = mask[i * sq + lr * block + lc] == 0.0;
-                let out = if valid && inv > 0.0 {
-                    // mg-lint: allow(P1): in-place softmax over FP16 storage; each value is decoded once per pass
-                    Half::from_f32((src[lr * block + lc].to_f32() * scale - max).exp() * inv)
-                } else {
-                    Half::ZERO
-                };
-                vals[(i - first_block) * sq + lr * block + lc] = out;
+    let coarse_len = coarse
+        .as_ref()
+        .map_or(0, |c| c.bsr.block_row_nnz(rows.start / block) * block);
+    let fine_len = rows
+        .clone()
+        .map(|r| fine.as_ref().map_or(0, |f| f.csr.row_nnz(r)))
+        .max()
+        .unwrap_or(0);
+    // `xs` holds the row's scaled valid values, then their exps, then
+    // the normalized values; `seg` stages one decoded (later, one
+    // normalized) block-row segment.
+    let mut xs = scratch::take_zeroed(coarse_len + fine_len);
+    let mut seg = scratch::take_zeroed(if coarse.is_some() { block } else { 0 });
+    let mut valid: Vec<bool> = Vec::new();
+    for r in rows {
+        // Gather: one decode per element, one mask read per element.
+        let mut nv = 0;
+        valid.clear();
+        if let Some(c) = &coarse {
+            let (br, lr, sq) = (r / block, r % block, block * block);
+            for i in c.bsr.block_row_range(br) {
+                let at = lr * block..(lr + 1) * block;
+                pack::decode_slice(&c.bsr.block(i)[at.clone()], &mut seg);
+                let mask = &c.mask[i * sq..(i + 1) * sq][at];
+                for (&v, &m) in seg.iter().zip(mask) {
+                    let ok = m == 0.0;
+                    valid.push(ok);
+                    if ok {
+                        xs[nv] = v * scale;
+                        nv += 1;
+                    }
+                }
             }
         }
-    }
-    if let (Some(csr), Some((vals, base))) = (fine, fine_vals) {
-        for i in csr.row_range(r) {
-            // mg-lint: allow(P1): in-place softmax over FP16 storage; each value is decoded once per pass
-            let v = csr.values()[i].to_f32();
-            vals[i - base] = if inv > 0.0 {
-                Half::from_f32((v * scale - max).exp() * inv)
-            } else {
-                Half::ZERO
-            };
+        let fine_at = nv;
+        if let Some(f) = &fine {
+            let n = f.csr.row_nnz(r);
+            pack::decode_slice(&f.csr.values()[f.csr.row_range(r)], &mut xs[nv..nv + n]);
+            for x in &mut xs[nv..nv + n] {
+                *x *= scale;
+            }
+            nv += n;
         }
-    }
-}
-
-/// Visits every stored element of row `r` across both parts.
-fn for_each_row_element(
-    coarse: Option<(&Bsr<Half>, &[f32])>,
-    fine: Option<&Csr<Half>>,
-    r: usize,
-    block: usize,
-    mut f: impl FnMut(f32, bool),
-) {
-    if let Some((bsr, mask)) = coarse {
-        let br = r / block;
-        let lr = r % block;
-        let sq = block * block;
-        for i in bsr.block_row_range(br) {
-            let blk = bsr.block(i);
-            for lc in 0..block {
-                let valid = mask[i * sq + lr * block + lc] == 0.0;
-                // mg-lint: allow(P1): streaming reduction over FP16 storage; one decode per visit
-                f(blk[lr * block + lc].to_f32(), valid);
+        let xs = &mut xs[..nv];
+        // Max, then one exp per valid element, summed in the same order.
+        let max = xs.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+        let mut sum = 0.0f32;
+        for x in xs.iter_mut() {
+            *x = (*x - max).exp();
+            sum += *x;
+        }
+        let inv = if sum > 0.0 { 1.0 / sum } else { 0.0 };
+        for x in xs.iter_mut() {
+            *x = if inv > 0.0 { *x * inv } else { 0.0 };
+        }
+        // Write back one encoded segment at a time; masked slots are 0.
+        if let Some(c) = &mut coarse {
+            let (br, lr, sq) = (r / block, r % block, block * block);
+            let mut p = xs[..fine_at].iter();
+            let mut flags = valid.iter();
+            for i in c.bsr.block_row_range(br) {
+                for (slot, &ok) in seg.iter_mut().zip(&mut flags) {
+                    *slot = if ok {
+                        *p.next().expect("one value per valid flag")
+                    } else {
+                        0.0
+                    };
+                }
+                let at = (i - c.first_block) * sq + lr * block;
+                pack::encode_slice(&seg, &mut c.vals[at..at + block]);
             }
         }
-    }
-    if let Some(csr) = fine {
-        for i in csr.row_range(r) {
-            // mg-lint: allow(P1): streaming reduction over FP16 storage; one decode per visit
-            f(csr.values()[i].to_f32(), true);
+        if let Some(f) = &mut fine {
+            let at = f.csr.row_range(r).start - f.base;
+            let out = &xs[fine_at..];
+            pack::encode_slice(out, &mut f.vals[at..at + out.len()]);
         }
     }
 }

@@ -45,46 +45,57 @@ pub const NR: usize = 8;
 const ROW_BLOCK: usize = 64;
 
 /// The row microkernel over one slab: multiplies one decoded A row
-/// against a k-major `k × w` slab (`bp[kk * w + j]`, `w = out_row.len()`).
+/// against a k-major `k × w` slab (`bp[kk * w + j]`, `w = out_row.len()`),
+/// every output element accumulating from `seed`.
 ///
 /// A full-width slab goes through the explicit AVX2 span kernel (four
 /// independent 8-lane accumulator chains) when the [`crate::simd`]
 /// dispatch is active; otherwise, and for a ragged slab, the scalar
 /// register windows of [`mul_row_windows`] run. Both perform the
 /// identical mul-then-add sequence per lane, so the choice is invisible
-/// in the bits.
+/// in the bits. The span is rounded to `O` in one
+/// [`pack::encode_slice`] call.
 #[inline]
-fn mul_row_slab<O: Scalar>(a_f: &[f32], bp: &[f32], out_row: &mut [O]) {
+fn mul_row_slab<O: Scalar>(a_f: &[f32], bp: &[f32], seed: f32, out_row: &mut [O]) {
     let mut span = [0.0f32; simd::SPAN];
-    if simd::row_panel_span(a_f, bp, out_row.len(), 0, &mut span) {
+    if simd::row_panel_span(a_f, bp, out_row.len(), 0, seed, &mut span) {
         pack::encode_slice(&span, out_row);
     } else {
-        mul_row_windows(a_f, bp, out_row);
+        mul_row_windows(a_f, bp, seed, out_row);
     }
 }
 
-/// Paired-row form of [`mul_row_slab`]: produces two output rows at once
-/// so the span microkernel can reuse each loaded B vector for both rows
-/// ([`simd::row_panel_span2`]), halving slab traffic. Per row the
-/// computation (and therefore every output bit) is identical to two
-/// [`mul_row_slab`] calls; when the vector path declines, that is
-/// literally what runs.
+/// The paired-row slab microkernel: multiplies two decoded A rows
+/// against a k-major `k × w` slab (`bp[kk * w + j]`, `w` = the output
+/// rows' length), every output element accumulating its products in
+/// ascending-k order from `seed`, and rounds each row to `O` with one
+/// [`pack::encode_slice`].
+///
+/// A full-width slab goes through [`simd::row_panel_span2`], which
+/// reuses each loaded B vector for both rows and so halves slab traffic;
+/// otherwise, and for a ragged slab, each row runs the scalar register
+/// windows. Both perform the identical mul-then-add sequence per lane,
+/// so the choice is invisible in the bits.
+///
+/// [`gemm`] and [`gemm_nt`] seed with `+0.0` (the [`naive`] order). The
+/// coarse SDDMM runs its stored blocks through this kernel with `-0.0`,
+/// the seed of [`dot`]'s `Sum` fold, so a score whose products are all
+/// `-0.0` keeps its sign.
+///
+/// # Panics
+///
+/// Panics if the two output rows differ in length.
 #[inline]
-fn mul_row_slab2<O: Scalar>(
-    a0_f: &[f32],
-    a1_f: &[f32],
-    bp: &[f32],
-    out0: &mut [O],
-    out1: &mut [O],
-) {
-    let mut span0 = [0.0f32; simd::SPAN];
-    let mut span1 = [0.0f32; simd::SPAN];
-    if simd::row_panel_span2(a0_f, a1_f, bp, out0.len(), 0, &mut span0, &mut span1) {
-        pack::encode_slice(&span0, out0);
-        pack::encode_slice(&span1, out1);
+pub fn mul_row_slab2<O: Scalar>(a_f: [&[f32]; 2], bp: &[f32], seed: f32, out: [&mut [O]; 2]) {
+    let [out0, out1] = out;
+    assert_eq!(out0.len(), out1.len(), "paired output rows differ in width");
+    let mut spans = [[0.0f32; simd::SPAN]; 2];
+    if simd::row_panel_span2(a_f, bp, out0.len(), 0, seed, &mut spans) {
+        pack::encode_slice(&spans[0], out0);
+        pack::encode_slice(&spans[1], out1);
     } else {
-        mul_row_windows(a0_f, bp, out0);
-        mul_row_windows(a1_f, bp, out1);
+        mul_row_windows(a_f[0], bp, seed, out0);
+        mul_row_windows(a_f[1], bp, seed, out1);
     }
 }
 
@@ -96,19 +107,19 @@ fn mul_row_slab2<O: Scalar>(
 /// can keep the `NR` accumulator chains in vector registers — the lanes
 /// are *independent* sums, so vectorizing across them reorders nothing:
 /// each output element still accumulates its products in ascending-k
-/// order from a `+0.0` seed, exactly like [`naive::gemm`] /
-/// [`naive::gemm_nt`]. When the [`crate::simd`] dispatch is active, full
-/// blocks go through the vector block kernel, which performs the same
-/// mul-then-add sequence per lane.
+/// order from `seed` (`+0.0` for [`naive::gemm`] / [`naive::gemm_nt`]).
+/// When the [`crate::simd`] dispatch is active, full blocks go through
+/// the vector block kernel, which performs the same mul-then-add
+/// sequence per lane.
 #[inline]
-fn mul_row_windows<O: Scalar>(a_f: &[f32], bp: &[f32], out_row: &mut [O]) {
+fn mul_row_windows<O: Scalar>(a_f: &[f32], bp: &[f32], seed: f32, out_row: &mut [O]) {
     let n = out_row.len();
     let mut j0 = 0;
     while j0 < n {
         let jw = NR.min(n - j0);
-        let mut regs = [0.0f32; NR];
+        let mut regs = [seed; NR];
         if jw == NR {
-            if let Some(v) = simd::row_panel_block(a_f, bp, n, j0) {
+            if let Some(v) = simd::row_panel_block(a_f, bp, n, j0, seed) {
                 regs = v;
             } else {
                 for (kk, &av) in a_f.iter().enumerate() {
@@ -128,9 +139,7 @@ fn mul_row_windows<O: Scalar>(a_f: &[f32], bp: &[f32], out_row: &mut [O]) {
                 }
             }
         }
-        for (slot, &v) in out_row[j0..j0 + jw].iter_mut().zip(regs[..jw].iter()) {
-            *slot = O::from_f32(v);
-        }
+        pack::encode_slice(&regs[..jw], &mut out_row[j0..j0 + jw]);
         j0 += jw;
     }
 }
@@ -158,11 +167,16 @@ fn gemm_slabs<A: Scalar, O: Scalar>(a: &Matrix<A>, b: &pack::SlabPanel, n: usize
             while r + 1 < rows {
                 let (head, tail) = out_blk.split_at_mut((r + 1) * n);
                 let out0 = &mut head[r * n + j0..r * n + j0 + w];
-                mul_row_slab2(a_row(r), a_row(r + 1), bp, out0, &mut tail[j0..j0 + w]);
+                mul_row_slab2(
+                    [a_row(r), a_row(r + 1)],
+                    bp,
+                    0.0,
+                    [out0, &mut tail[j0..j0 + w]],
+                );
                 r += 2;
             }
             if r < rows {
-                mul_row_slab(a_row(r), bp, &mut out_blk[r * n + j0..r * n + j0 + w]);
+                mul_row_slab(a_row(r), bp, 0.0, &mut out_blk[r * n + j0..r * n + j0 + w]);
             }
         }
     });

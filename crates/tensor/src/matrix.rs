@@ -148,13 +148,20 @@ impl<T: Scalar> Matrix<T> {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
     }
 
-    /// Converts every element to another scalar type.
+    /// Converts every element to another scalar type, element `i`
+    /// becoming `U::from_f32(self[i].to_f32())`. Runs a chunk at a time
+    /// through [`crate::pack::decode_slice`] and
+    /// [`crate::pack::encode_slice`], so a `Half` result is rounded by the
+    /// vector encode when the [`crate::simd`] dispatch is active.
     pub fn cast<U: Scalar>(&self) -> Matrix<U> {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|v| U::from_f32(v.to_f32())).collect(),
-        }
+        const CHUNK: usize = 4096;
+        let mut out = Matrix::<U>::zeros(self.rows, self.cols);
+        crate::par::for_each_chunk_mut(&mut out.data, CHUNK, |i, dst| {
+            let mut buf = crate::scratch::take_zeroed(dst.len());
+            crate::pack::decode_slice(&self.data[i * CHUNK..i * CHUNK + dst.len()], &mut buf);
+            crate::pack::encode_slice(&buf, dst);
+        });
+        out
     }
 
     /// Total bytes occupied by the element buffer (metadata excluded).

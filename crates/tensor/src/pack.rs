@@ -8,7 +8,7 @@
 //! shared memory once and running the MAC loop over the staged tile;
 //! this module is the CPU analogue. [`decode_slice`] converts a slice in
 //! one pass, [`Panel`] stages a whole matrix as a row-major `f32` panel
-//! in a pooled [`crate::scratch`] buffer, and `SlabPanel` stages a GEMM
+//! in a pooled [`crate::scratch`] buffer, and [`SlabPanel`] stages a GEMM
 //! `B` operand as cache-sized column slabs.
 //!
 //! Bit-identity: FP16→FP32 decode is exact, so replacing a per-use
@@ -38,14 +38,16 @@ pub fn decode_slice<T: Scalar>(src: &[T], dst: &mut [f32]) {
 /// Rounds `src` into `dst` element-wise (round-to-nearest-even for
 /// `Half` outputs, identity for `f32`).
 ///
+/// `Half` outputs route through the F16C conversion in [`crate::simd`]
+/// when the dispatch is active; it implements the same rounding
+/// [`crate::Half::from_f32`] does, so the two paths are bit-identical.
+///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn encode_slice<O: Scalar>(src: &[f32], dst: &mut [O]) {
     assert_eq!(src.len(), dst.len(), "encode length mismatch");
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d = O::from_f32(*s);
-    }
+    O::encode_from(src, dst);
 }
 
 /// A matrix decoded once into a row-major `f32` panel.
@@ -144,7 +146,11 @@ impl Panel {
 /// window densely, so one slab (393 KB at k = 3072) stays cache-resident
 /// while a block of output rows runs over it. The values are those of a
 /// plain panel, only the layout differs, so consumers stay bit-identical.
-pub(crate) struct SlabPanel {
+///
+/// [`crate::gemm`] and [`crate::gemm_nt`] run their row blocks over these
+/// slabs, and the coarse SDDMM runs each stored block over the slabs of
+/// `Kᵀ` that cover its columns.
+pub struct SlabPanel {
     buf: ScratchF32,
     k: usize,
     n: usize,
@@ -154,33 +160,39 @@ impl SlabPanel {
     /// Decodes the `k × n` matrix `b` into slabs, one slab per parallel
     /// task.
     pub fn from_matrix<T: Scalar>(b: &Matrix<T>) -> SlabPanel {
-        SlabPanel::pack(b.rows(), b.cols(), |j0, kk, dst| {
-            decode_slice(&b.row(kk)[j0..j0 + dst.len()], dst);
-        })
-    }
-
-    /// Decodes the **transpose** of the `n × k` matrix `b` into slabs,
-    /// so `A × Bᵀ` runs through the same slab loop as `A × B`.
-    pub fn from_matrix_transposed<T: Scalar>(b: &Matrix<T>) -> SlabPanel {
-        SlabPanel::pack(b.cols(), b.rows(), |j0, kk, dst| {
-            for (jj, slot) in dst.iter_mut().enumerate() {
-                *slot = b.get(j0 + jj, kk).to_f32();
-            }
-        })
-    }
-
-    /// Fills the slabs of a `k × n` operand: `fill(j0, kk, dst)` writes
-    /// row `kk` of the slab starting at column `j0` into `dst`, whose
-    /// length is the slab's width.
-    fn pack(k: usize, n: usize, fill: impl Fn(usize, usize, &mut [f32]) + Sync) -> SlabPanel {
+        let (k, n) = (b.rows(), b.cols());
         let mut buf = scratch::take_zeroed(k * n);
         crate::par::for_each_chunk_mut(&mut buf, k * SPAN, |s, slab| {
             let (j0, w) = (s * SPAN, SPAN.min(n - s * SPAN));
             for (kk, dst) in slab.chunks_exact_mut(w).enumerate() {
-                fill(j0, kk, dst);
+                decode_slice(&b.row(kk)[j0..j0 + w], dst);
             }
         });
         SlabPanel { buf, k, n }
+    }
+
+    /// Decodes the **transpose** of the `n × k` matrix `b` into slabs,
+    /// so `A × Bᵀ` runs through the same slab loop as `A × B`. Each row
+    /// of `b` is decoded once as a whole and scattered down its slab
+    /// column.
+    pub fn from_matrix_transposed<T: Scalar>(b: &Matrix<T>) -> SlabPanel {
+        let k = b.cols();
+        let mut buf = scratch::take_zeroed(k * b.rows());
+        crate::par::for_each_chunk_mut(&mut buf, k * SPAN, |s, slab| {
+            let w = slab.len() / k.max(1);
+            let mut row = scratch::take_zeroed(k);
+            for jj in 0..w {
+                decode_slice(b.row(s * SPAN + jj), &mut row);
+                for (kk, &v) in row.iter().enumerate() {
+                    slab[kk * w + jj] = v;
+                }
+            }
+        });
+        SlabPanel {
+            buf,
+            k,
+            n: b.rows(),
+        }
     }
 
     /// Number of slabs, `⌈n / SPAN⌉`.

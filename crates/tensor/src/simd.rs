@@ -2,12 +2,14 @@
 //!
 //! Every hot kernel in the workspace funnels through four shared
 //! microkernels (the dense row microkernel behind [`crate::gemm`] /
-//! [`crate::gemm_nt`], [`crate::dot_rows_block`], [`crate::dot_rows_run`],
-//! and the chunk-batched fused accumulate) plus the f16→f32 LUT decode in
-//! [`crate::pack::decode_slice`]. This module reimplements those five on
-//! stable `std::arch` x86_64 AVX2 intrinsics and dispatches to them at
-//! runtime; the scalar register-window code stays in place as the
-//! fallback and the only path on non-x86_64 targets.
+//! [`crate::gemm_nt`] and the coarse SDDMM, [`crate::dot_rows_block`],
+//! [`crate::dot_rows_run`], and the chunk-batched fused accumulate) plus
+//! the two FP16 conversions: the f16→f32 LUT decode in
+//! [`crate::pack::decode_slice`] and the f32→f16 F16C encode in
+//! [`crate::pack::encode_slice`]. This module reimplements those six on
+//! stable `std::arch` x86_64 AVX2 (and F16C) intrinsics and dispatches to
+//! them at runtime; the scalar code stays in place as the fallback and
+//! the only path on non-x86_64 targets.
 //!
 //! ## The no-FMA bit-equality argument
 //!
@@ -25,9 +27,13 @@
 //! A element first, and the accumulate takes the fresh product first —
 //! the compiled `acc += av * bv` keeps the product's payload, not the
 //! accumulator's. The full-bit-space property tests would catch either
-//! order being wrong. The f16→f32 decode gathers from the same 65,536-entry LUT
-//! that [`crate::Half::to_f32`] indexes, so it is exact by construction.
-//! CI pins all of this over the adversarial `Half` bit-space corpus at
+//! order being wrong. The f16→f32 decode gathers from the same
+//! 65,536-entry LUT that [`crate::Half::to_f32`] indexes, so it is exact
+//! by construction. The f32→f16 encode is `vcvtps2ph` with
+//! round-to-nearest-even, the same IEEE conversion
+//! [`crate::Half::from_f32`] performs in software (see [`encode_f16`]);
+//! an exhaustive test compares the two over all 2³² f32 bit patterns. CI
+//! pins all of this over the adversarial `Half` bit-space corpus at
 //! `MG_SIMD` {0, 1} × `MG_THREADS` {1, 4}.
 //!
 //! ## Dispatch rules
@@ -36,7 +42,8 @@
 //! `MG_SIMD=0` forces the scalar path; anything else (including unset)
 //! selects the vector path **iff** the `simd` feature is compiled in,
 //! the target is x86_64, and `is_x86_feature_detected!("avx2")` reports
-//! the CPU supports it. The decision is cached in an atomic;
+//! the CPU supports it (the encode also needs F16C and declines to the
+//! scalar conversion without it). The decision is cached in an atomic;
 //! [`set_override`] flips it programmatically (the perf study's
 //! three-way A/B uses this) and `set_override(None)` drops back to the
 //! environment-driven decision. Because both paths are bit-identical,
@@ -134,21 +141,35 @@ pub fn set_override(on: Option<bool>) {
 }
 
 /// Vector form of the dense row microkernel over a [`SPAN`]-wide window:
-/// accumulates `out[b*NR + j] = Σ_k a_f[k] * bp[k*n + j0 + b*NR + j]`
-/// across four independent 8-lane chains. Returns `false` (leaving `out`
-/// untouched) when the vector path is not dispatched or the window does
-/// not fit, in which case the caller runs its scalar register windows.
+/// accumulates `out[b*NR + j] = seed + Σ_k a_f[k] * bp[k*n + j0 + b*NR + j]`
+/// across four independent 8-lane chains, every lane starting from
+/// `seed`. Returns `false` (leaving `out` untouched) when the vector path
+/// is not dispatched or the window does not fit, in which case the
+/// caller runs its scalar register windows.
+///
+/// The seed is the only thing that tells a GEMM apart from a run of
+/// dots: [`crate::gemm`] starts from `+0.0` like [`crate::naive`], while
+/// the coarse SDDMM starts from the `-0.0` that [`crate::dot`]'s `Sum`
+/// fold uses. They differ only when every product is `-0.0`, where the
+/// seed decides the sign of the zero.
 #[inline]
-pub fn row_panel_span(a_f: &[f32], bp: &[f32], n: usize, j0: usize, out: &mut [f32; SPAN]) -> bool {
+pub fn row_panel_span(
+    a_f: &[f32],
+    bp: &[f32],
+    n: usize,
+    j0: usize,
+    seed: f32,
+    out: &mut [f32; SPAN],
+) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if active() && j0 + SPAN <= n && a_f.len().saturating_mul(n) <= bp.len() {
         // SAFETY: AVX2 is present (`active` implies `available`), and the
         // guard proves every SPAN-wide load at `bp[kk*n + j0]` with
         // `kk < a_f.len()` lies inside `bp` (since `j0 + SPAN <= n`).
-        unsafe { avx2::row_panel_span(a_f, bp, n, j0, out) };
+        unsafe { avx2::row_panel_span(a_f, bp, n, j0, seed, out) };
         return true;
     }
-    let _ = (a_f, bp, n, j0, out);
+    let _ = (a_f, bp, n, j0, seed, out);
     false
 }
 
@@ -157,49 +178,54 @@ pub fn row_panel_span(a_f: &[f32], bp: &[f32], n: usize, j0: usize, out: &mut [f
 /// loaded B vector feeds both rows' accumulator chains and the panel is
 /// streamed through cache half as often. Per row and per lane the
 /// operation sequence is exactly [`row_panel_span`]'s (mul then add,
-/// ascending `k`, `+0.0` seed), so pairing is invisible in the bits.
+/// ascending `k`, from `seed`), so pairing is invisible in the bits.
 /// Returns `false` (leaving the outputs untouched) when the vector path
 /// is not dispatched, the rows differ in length, or the window does not
 /// fit.
 #[inline]
 pub fn row_panel_span2(
-    a0_f: &[f32],
-    a1_f: &[f32],
+    a_f: [&[f32]; 2],
     bp: &[f32],
     n: usize,
     j0: usize,
-    out0: &mut [f32; SPAN],
-    out1: &mut [f32; SPAN],
+    seed: f32,
+    out: &mut [[f32; SPAN]; 2],
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if active()
-        && a0_f.len() == a1_f.len()
+        && a_f[0].len() == a_f[1].len()
         && j0 + SPAN <= n
-        && a0_f.len().saturating_mul(n) <= bp.len()
+        && a_f[0].len().saturating_mul(n) <= bp.len()
     {
         // SAFETY: AVX2 is present, both rows share the verified length,
         // and the guard proves every SPAN-wide load at `bp[kk*n + j0]`
-        // with `kk < a0_f.len()` lies inside `bp` (`j0 + SPAN <= n`).
-        unsafe { avx2::row_panel_span2(a0_f, a1_f, bp, n, j0, out0, out1) };
+        // with `kk < a_f[0].len()` lies inside `bp` (`j0 + SPAN <= n`).
+        unsafe { avx2::row_panel_span2(a_f, bp, n, j0, seed, out) };
         return true;
     }
-    let _ = (a0_f, a1_f, bp, n, j0, out0, out1);
+    let _ = (a_f, bp, n, j0, seed, out);
     false
 }
 
 /// Vector form of one `NR`-wide block of the dense row microkernel:
-/// `Some(regs)` with `regs[j] = Σ_k a_f[k] * bp[k*n + j0 + j]`, or
+/// `Some(regs)` with `regs[j] = seed + Σ_k a_f[k] * bp[k*n + j0 + j]`, or
 /// `None` when not dispatched / out of range (caller falls back to the
 /// scalar register window).
 #[inline]
-pub fn row_panel_block(a_f: &[f32], bp: &[f32], n: usize, j0: usize) -> Option<[f32; NR]> {
+pub fn row_panel_block(
+    a_f: &[f32],
+    bp: &[f32],
+    n: usize,
+    j0: usize,
+    seed: f32,
+) -> Option<[f32; NR]> {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if active() && j0 + NR <= n && a_f.len().saturating_mul(n) <= bp.len() {
         // SAFETY: AVX2 is present, and the guard proves every NR-wide load
         // at `bp[kk*n + j0]` with `kk < a_f.len()` lies inside `bp`.
-        return Some(unsafe { avx2::row_panel_block(a_f, bp, n, j0) });
+        return Some(unsafe { avx2::row_panel_block(a_f, bp, n, j0, seed) });
     }
-    let _ = (a_f, bp, n, j0);
+    let _ = (a_f, bp, n, j0, seed);
     None
 }
 
@@ -282,6 +308,31 @@ pub fn decode_f16(src: &[Half], dst: &mut [f32]) -> bool {
     false
 }
 
+/// Vector form of the f32→f16 encode in [`crate::pack::encode_slice`]:
+/// rounds 8 values per step with the F16C `vcvtps2ph` instruction under
+/// round-to-nearest-even. Returns `false` (leaving `dst` untouched) when
+/// not dispatched, the CPU lacks F16C, or the lengths differ (the scalar
+/// path owns the panic semantics).
+///
+/// Bit-identity with [`crate::Half::from_f32`] holds over the whole f32
+/// space: both round to nearest-even (into the subnormal range too),
+/// overflow to ±Inf, keep the sign of zero and of NaN, and turn a NaN
+/// into a quiet NaN carrying the top nine payload bits. Denormal f32
+/// inputs lie far below the smallest half subnormal and round to ±0
+/// either way. An exhaustive test over all 2³² inputs pins it.
+#[inline]
+pub fn encode_f16(src: &[f32], dst: &mut [Half]) -> bool {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if active() && std::arch::is_x86_feature_detected!("f16c") && src.len() == dst.len() {
+        // SAFETY: AVX2 and F16C are present and the lengths match, so
+        // every 8-wide load and 8-lane store stays inside the slices.
+        unsafe { avx2::encode_f16(src, dst) };
+        return true;
+    }
+    let _ = (src, dst);
+    false
+}
+
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx2 {
     //! The AVX2 implementations. Everything here runs under
@@ -301,12 +352,13 @@ mod avx2 {
         bp: &[f32],
         n: usize,
         j0: usize,
+        seed: f32,
         out: &mut [f32; SPAN],
     ) {
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
+        let mut acc0 = _mm256_set1_ps(seed);
+        let mut acc1 = acc0;
+        let mut acc2 = acc0;
+        let mut acc3 = acc0;
         for (kk, &av) in a_f.iter().enumerate() {
             let avv = _mm256_set1_ps(av);
             // SAFETY: `kk*n + j0 + SPAN <= (kk+1)*n <= bp.len()` per the
@@ -330,28 +382,27 @@ mod avx2 {
         }
     }
 
-    // SAFETY: callers verified AVX2, `a0_f.len() == a1_f.len()`,
-    // `j0 + SPAN <= n`, and `a0_f.len() * n <= bp.len()`, so every load
+    // SAFETY: callers verified AVX2, `a_f[0].len() == a_f[1].len()`,
+    // `j0 + SPAN <= n`, and `a_f[0].len() * n <= bp.len()`, so every load
     // below is in bounds for both rows.
     #[target_feature(enable = "avx2")]
     pub unsafe fn row_panel_span2(
-        a0_f: &[f32],
-        a1_f: &[f32],
+        a_f: [&[f32]; 2],
         bp: &[f32],
         n: usize,
         j0: usize,
-        out0: &mut [f32; SPAN],
-        out1: &mut [f32; SPAN],
+        seed: f32,
+        out: &mut [[f32; SPAN]; 2],
     ) {
-        let mut acc00 = _mm256_setzero_ps();
-        let mut acc01 = _mm256_setzero_ps();
-        let mut acc02 = _mm256_setzero_ps();
-        let mut acc03 = _mm256_setzero_ps();
-        let mut acc10 = _mm256_setzero_ps();
-        let mut acc11 = _mm256_setzero_ps();
-        let mut acc12 = _mm256_setzero_ps();
-        let mut acc13 = _mm256_setzero_ps();
-        for (kk, (&av0, &av1)) in a0_f.iter().zip(a1_f.iter()).enumerate() {
+        let mut acc00 = _mm256_set1_ps(seed);
+        let mut acc01 = acc00;
+        let mut acc02 = acc00;
+        let mut acc03 = acc00;
+        let mut acc10 = acc00;
+        let mut acc11 = acc00;
+        let mut acc12 = acc00;
+        let mut acc13 = acc00;
+        for (kk, (&av0, &av1)) in a_f[0].iter().zip(a_f[1].iter()).enumerate() {
             let avv0 = _mm256_set1_ps(av0);
             let avv1 = _mm256_set1_ps(av1);
             // SAFETY: `kk*n + j0 + SPAN <= (kk+1)*n <= bp.len()` per the
@@ -374,6 +425,7 @@ mod avx2 {
                 acc13 = _mm256_add_ps(_mm256_mul_ps(avv1, b3), acc13);
             }
         }
+        let [out0, out1] = out;
         let op0 = out0.as_mut_ptr();
         let op1 = out1.as_mut_ptr();
         // SAFETY: each output is exactly SPAN = 4*NR floats.
@@ -392,8 +444,14 @@ mod avx2 {
     // SAFETY: callers verified AVX2 and `j0 + NR <= n`,
     // `a_f.len() * n <= bp.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn row_panel_block(a_f: &[f32], bp: &[f32], n: usize, j0: usize) -> [f32; NR] {
-        let mut acc = _mm256_setzero_ps();
+    pub unsafe fn row_panel_block(
+        a_f: &[f32],
+        bp: &[f32],
+        n: usize,
+        j0: usize,
+        seed: f32,
+    ) -> [f32; NR] {
+        let mut acc = _mm256_set1_ps(seed);
         for (kk, &av) in a_f.iter().enumerate() {
             let avv = _mm256_set1_ps(av);
             // SAFETY: `kk*n + j0 + NR <= (kk+1)*n <= bp.len()` per the
@@ -498,6 +556,30 @@ mod avx2 {
         }
     }
 
+    // SAFETY: callers verified AVX2, F16C and `src.len() == dst.len()`.
+    #[target_feature(enable = "avx2,f16c")]
+    pub unsafe fn encode_f16(src: &[f32], dst: &mut [Half]) {
+        let n = src.len();
+        let sp = src.as_ptr();
+        // `Half` is #[repr(transparent)] over u16, so the destination
+        // reinterprets as a slice of u16 bit patterns.
+        let dp = dst.as_mut_ptr() as *mut u16;
+        let mut i = 0;
+        while i + NR <= n {
+            // SAFETY: `i + NR <= n` bounds the 8-float load and the
+            // 8-half (16-byte) store.
+            unsafe {
+                let vals = _mm256_loadu_ps(sp.add(i));
+                let bits = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(vals);
+                _mm_storeu_si128(dp.add(i) as *mut __m128i, bits);
+            }
+            i += NR;
+        }
+        for (d, s) in dst[i..].iter_mut().zip(src[i..].iter()) {
+            *d = Half::from_f32(*s);
+        }
+    }
+
     // SAFETY: caller must have AVX2 enabled (all callers here do).
     #[target_feature(enable = "avx2")]
     unsafe fn store8(v: __m256) -> [f32; NR] {
@@ -557,8 +639,8 @@ mod tests {
         a[3] = 0.0;
         a[7] = f32::NEG_INFINITY;
 
-        let scalar_ref = |j0: usize, jw: usize| -> Vec<f32> {
-            let mut regs = vec![0.0f32; jw];
+        let scalar_ref = |j0: usize, jw: usize, seed: f32| -> Vec<f32> {
+            let mut regs = vec![seed; jw];
             for (kk, &av) in a.iter().enumerate() {
                 for (t, reg) in regs.iter_mut().enumerate() {
                     *reg += av * bp.as_slice()[kk * n + j0 + t];
@@ -568,28 +650,60 @@ mod tests {
         };
 
         in_both_modes(|simd_on| {
-            let mut span_out = [0.0f32; SPAN];
-            let took = row_panel_span(&a, bp.as_slice(), n, 0, &mut span_out);
-            assert_eq!(took, simd_on && available(), "span dispatch state");
-            if took {
-                for (t, (got, want)) in span_out.iter().zip(scalar_ref(0, SPAN)).enumerate() {
-                    assert_eq!(got.to_bits(), want.to_bits(), "span lane {t}");
+            for seed in [0.0f32, -0.0] {
+                let mut span_out = [0.0f32; SPAN];
+                let took = row_panel_span(&a, bp.as_slice(), n, 0, seed, &mut span_out);
+                assert_eq!(took, simd_on && available(), "span dispatch state");
+                if took {
+                    for (t, (got, want)) in
+                        span_out.iter().zip(scalar_ref(0, SPAN, seed)).enumerate()
+                    {
+                        assert_eq!(got.to_bits(), want.to_bits(), "span lane {t}");
+                    }
+                }
+                let blk = row_panel_block(&a, bp.as_slice(), n, SPAN, seed);
+                assert_eq!(
+                    blk.is_some(),
+                    simd_on && available(),
+                    "block dispatch state"
+                );
+                if let Some(regs) = blk {
+                    for (t, (got, want)) in regs.iter().zip(scalar_ref(SPAN, NR, seed)).enumerate()
+                    {
+                        assert_eq!(got.to_bits(), want.to_bits(), "block lane {t}");
+                    }
+                }
+                // Out-of-range windows must decline, never touch memory.
+                assert!(!row_panel_span(
+                    &a,
+                    bp.as_slice(),
+                    n,
+                    NR + 4,
+                    seed,
+                    &mut span_out
+                ));
+                assert!(row_panel_block(&a, bp.as_slice(), n, n - 3, seed).is_none());
+            }
+        });
+    }
+
+    #[test]
+    fn seeds_decide_the_sign_of_all_negative_zero_sums() {
+        // A zero A row against negative B entries makes every product
+        // -0.0: the GEMM seed (+0.0) yields +0.0 and the dot seed (-0.0)
+        // yields -0.0 in every lane, on both rows of the paired kernel.
+        let k = 5;
+        let bp = vec![-1.5f32; k * SPAN];
+        let zeros = [0.0f32; 5];
+        in_both_modes(|_| {
+            for seed in [0.0f32, -0.0] {
+                let mut out = [[1.0f32; SPAN]; 2];
+                if row_panel_span2([&zeros, &zeros], &bp, SPAN, 0, seed, &mut out) {
+                    for v in out.iter().flatten() {
+                        assert_eq!(v.to_bits(), seed.to_bits());
+                    }
                 }
             }
-            let blk = row_panel_block(&a, bp.as_slice(), n, SPAN);
-            assert_eq!(
-                blk.is_some(),
-                simd_on && available(),
-                "block dispatch state"
-            );
-            if let Some(regs) = blk {
-                for (t, (got, want)) in regs.iter().zip(scalar_ref(SPAN, NR)).enumerate() {
-                    assert_eq!(got.to_bits(), want.to_bits(), "block lane {t}");
-                }
-            }
-            // Out-of-range windows must decline, never touch memory.
-            assert!(!row_panel_span(&a, bp.as_slice(), n, NR + 4, &mut span_out));
-            assert!(row_panel_block(&a, bp.as_slice(), n, n - 3).is_none());
         });
     }
 
@@ -643,10 +757,13 @@ mod tests {
             let k = Matrix::<Half>::random(4, 4, 7);
             let kt = pack::Panel::from_matrix_transposed(&k);
             assert!(dot_rows_run(&[1.0f32; 4], &kt, 1).is_none());
-            // Length-mismatched decode declines (decode_slice asserts).
+            // Length-mismatched decode and encode decline (the pack
+            // helpers assert).
             let src = [Half::ONE; 4];
             let mut dst = [0.0f32; 3];
             assert!(!decode_f16(&src, &mut dst));
+            let mut halves = [Half::ZERO; 3];
+            assert!(!encode_f16(&[1.0f32; 4], &mut halves));
         });
     }
 }

@@ -16,7 +16,7 @@
 //! pinned by the source. `assert_bits_eq` stays strict; the finite-data
 //! test below is the one meant to run under `--release`.
 
-use mg_tensor::{dot, dot_f32, gemm, gemm_nt, naive, simd, Half, Matrix};
+use mg_tensor::{dot, dot_f32, gemm, gemm_nt, naive, pack, simd, Half, Matrix};
 use rayon::ThreadPoolBuilder;
 
 /// Deterministic LCG over raw u16 bit patterns (MMIX constants). Unlike
@@ -216,4 +216,63 @@ fn packed_f16_output_matches_naive_rounding() {
     for (p, r) in packed.as_slice().iter().zip(reference.as_slice()) {
         assert_eq!(p.to_bits(), r.to_bits());
     }
+}
+
+#[test]
+fn encode_slice_matches_from_f32_at_ragged_lengths() {
+    // Every length around the 8-lane encode step, over rounding edges
+    // (ties to even, the overflow edge, the half subnormal range and its
+    // underflow edge, f32 denormals, quiet and signalling NaNs) followed
+    // by raw f32 bit patterns, under the ambient dispatch and both
+    // forced modes, at several offsets so the vector body and the scalar
+    // tail both start unaligned. `tests/encode_exhaustive.rs` covers all
+    // 2³² inputs in an optimised build.
+    let mut rng = BitRng(0x5eed_0006);
+    let edges = [
+        0.0f32,
+        -0.0,
+        1.0 + f32::EPSILON * 4096.0,
+        1.0 + f32::EPSILON * 3.0 * 4096.0,
+        65504.0,
+        65519.99,
+        65520.0,
+        -65520.0,
+        2.0f32.powi(-24),
+        2.0f32.powi(-25),
+        2.0f32.powi(-25) * 1.000_001,
+        -(2.0f32.powi(-26)),
+        f32::MIN_POSITIVE / 2.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(0x7FC0_0000),
+        f32::from_bits(0xFFC0_1234),
+        f32::from_bits(0x7F80_0001),
+        f32::from_bits(0xFF80_2001),
+    ];
+    let src: Vec<f32> = edges
+        .into_iter()
+        .chain(
+            (0..61).map(|_| f32::from_bits((rng.next_u16() as u32) << 16 | rng.next_u16() as u32)),
+        )
+        .collect();
+    let lens: Vec<usize> = (0..=17).chain([31, 33, 65]).collect();
+    for mode in [None, Some(false), Some(true)] {
+        simd::set_override(mode);
+        for &len in &lens {
+            for lo in [0usize, 3, 15] {
+                let s = &src[lo..lo + len];
+                let mut dst = vec![Half::ZERO; len];
+                pack::encode_slice(s, &mut dst);
+                for (i, (d, v)) in dst.iter().zip(s).enumerate() {
+                    assert_eq!(
+                        d.to_bits(),
+                        Half::from_f32(*v).to_bits(),
+                        "len {len} offset {lo} element {i} ({:#010x}) mode {mode:?}",
+                        v.to_bits()
+                    );
+                }
+            }
+        }
+    }
+    simd::set_override(None);
 }
